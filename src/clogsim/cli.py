@@ -19,7 +19,7 @@ from .decision import (
     find_fixed_points,
     tabulate_curve,
 )
-from .dynamics import simulate_run
+from .dynamics import outcome_label, simulate_run
 from .io_config import (
     ConfigError,
     RunArtifacts,
@@ -188,11 +188,9 @@ def _cmd_run(args) -> int:
         alpha=config.alpha, max_iters=config.max_iters, mbar_trace=trace,
     )
 
-    label = ("completion" if outcome.completion else "dominance" if outcome.dominance
-             else "survival" if outcome.survival else "extinction")
-    print(f"outcome={label} mbar_final={outcome.mbar_final:.9g} t_final={outcome.t_final} "
-          f"terminated_by={outcome.terminated_by} innovator={innovator} degree={degree} "
-          f"networks_tried={attempts}")
+    print(f"outcome={outcome_label(outcome)} mbar_final={outcome.mbar_final:.9g} "
+          f"t_final={outcome.t_final} terminated_by={outcome.terminated_by} "
+          f"innovator={innovator} degree={degree} networks_tried={attempts}")
 
     if args.dump_trajectory or args.dump_nodes or args.dump_edges:
         os.makedirs(args.out_dir, exist_ok=True)

@@ -11,6 +11,13 @@ Both phases read only pre-phase values, so iteration order cannot affect
 results.  A run ends at consensus (every m_i within 1e-8 of the same
 corner) or at a cycle cap, and the final population mean classifies the
 outcome: survival, dominance, completion.
+
+At phi = 90 the rule is a step, so a cycle in which every production
+probability is exactly 0 or 1 draws signals that do not depend on chance.
+If such a cycle also leaves every mental state bitwise unchanged, the state
+is absorbing: each later cycle would redraw the same signals and rebuild
+the same states.  The run then stops early and reports exactly what the
+cycle cap would have reported.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ __all__ = [
     "SimState",
     "RunOutcome",
     "classify_outcome",
+    "outcome_label",
     "init_state",
     "step",
     "simulate_run",
@@ -88,6 +96,17 @@ def classify_outcome(mbar_final: float, t_final: int, terminated_by: str) -> Run
     )
 
 
+def outcome_label(outcome) -> str:
+    """The furthest outcome reached, from an object's nested outcome flags."""
+    if outcome.completion:
+        return "completion"
+    if outcome.dominance:
+        return "dominance"
+    if outcome.survival:
+        return "survival"
+    return "extinction"
+
+
 def _check_net(net: Network) -> None:
     if net.n == 0 or int(net.degrees.min()) < 1:
         raise ValueError("simulation requires every node to have at least one neighbor")
@@ -109,9 +128,10 @@ def init_state(net: Network, innovator: int) -> SimState:
 
 def _cycle(m, rule, indptr, indices, inv_deg, alpha, rng):
     # Phase 1: produce.  Phase 2: average neighbor signals and update.
-    s = rng.random(m.size) < rule(m)
+    p = rule(m)
+    s = rng.random(m.size) < p
     inp = np.add.reduceat(s[indices].astype(np.float64), indptr[:-1]) * inv_deg
-    return alpha * inp + (1.0 - alpha) * m, s
+    return alpha * inp + (1.0 - alpha) * m, s, p
 
 
 def step(
@@ -133,7 +153,7 @@ def step(
         raise ValueError("state size does not match network size")
     rule = production_rule(phi_deg, beta)
     inv_deg = 1.0 / net.degrees.astype(np.float64)
-    m, s = _cycle(state.m, rule, net.indptr, net.indices, inv_deg, alpha, rng)
+    m, s, _ = _cycle(state.m, rule, net.indptr, net.indices, inv_deg, alpha, rng)
     return SimState(m=m, s=s.astype(np.uint8), t=state.t + 1)
 
 
@@ -152,6 +172,13 @@ def simulate_run(
 
     If ``mbar_trace`` is a list, the population mean is appended each cycle
     (index = cycle, starting with the initial state at index 0).
+
+    At ``phi_deg == 90`` a run that reaches an absorbing state (every
+    production probability exactly 0 or 1 and the mental states bitwise
+    unchanged by the cycle) stops there.  Its outcome, final state and
+    trace, padded with the unchanging mean, equal those of the full loop up
+    to ``max_iters``; only ``rng`` is not advanced through the skipped
+    cycles.
     """
     _check_net(net)
     _check_alpha(alpha)
@@ -167,11 +194,13 @@ def simulate_run(
     if mbar_trace is not None:
         mbar_trace.append(float(m.mean()))
 
+    step_rule = phi_deg == 90.0
     s = None
     terminated_by = MAX_ITERATIONS
     t = 0
     for t in range(1, max_iters + 1):
-        m, s = _cycle(m, rule, indptr, indices, inv_deg, alpha, rng)
+        m_prev = m
+        m, s, p = _cycle(m, rule, indptr, indices, inv_deg, alpha, rng)
         if mbar_trace is not None:
             mbar_trace.append(float(m.mean()))
         mx = float(m.max())
@@ -180,6 +209,12 @@ def simulate_run(
             break
         if mx > 1.0 - CONSENSUS_EPS and float(m.min()) > 1.0 - CONSENSUS_EPS:
             terminated_by = CONSENSUS_ONE
+            break
+        # Below 90 no mixed state is absorbing, so only the step rule checks.
+        if step_rule and np.array_equal(m, m_prev) and not np.any((p > 0.0) & (p < 1.0)):
+            if mbar_trace is not None:
+                mbar_trace.extend([mbar_trace[-1]] * (max_iters - t))
+            t = max_iters
             break
 
     final = SimState(m=m, s=None if s is None else s.astype(np.uint8), t=t)

@@ -124,7 +124,12 @@ def _parse_float(pairs: dict, key: str, default=None):
 
 
 def _parse_list(pairs: dict, key: str, conv, default):
-    """Comma list (``45,60,90``) or inclusive range (``2:20`` / ``2:20:3``)."""
+    """Comma list (``45,60,90``) or inclusive range (``2:20`` / ``2:20:3``).
+
+    Range values are ``lo + k*step``, each replaced by the value its CSV
+    text parses back to, so a printed grid value replays the same seed; a
+    step too fine for that text is rejected.
+    """
     if key not in pairs:
         return default
     text = pairs[key]
@@ -138,10 +143,10 @@ def _parse_list(pairs: dict, key: str, conv, default):
             if step <= 0 or hi < lo:
                 raise ValueError
             values = []
-            v = lo
-            while v <= hi:
+            while (v := conv(format_field(lo + len(values) * step))) <= hi:
+                if values and v <= values[-1]:
+                    raise ValueError
                 values.append(v)
-                v += step
             return tuple(values)
         return tuple(conv(tok) for tok in text.split(","))
     except ValueError:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import RunOutcome, run_to_completion
+from .dynamics import RunOutcome, outcome_label, run_to_completion
 from .network import find_node_with_degree, generate_pa_network
 from .scenarios import KINDS, ScenarioConfig, scenario_biases
 
@@ -36,15 +36,11 @@ __all__ = [
 ]
 
 # Desk-scale sweep defaults: coarse enough to finish in minutes.  The
-# full-resolution grid (1-degree phi steps, degrees 2..55, 500 runs) is a
-# documented preset, not the default.
+# full-resolution grid (1-degree phi steps, degrees 2..55, 500 runs) is
+# given by explicit flags, as the README shows.
 DESK_PHI_LIST = (45.0, 50.0, 55.0, 60.0, 65.0, 70.0, 75.0, 80.0, 85.0, 90.0)
 DESK_DEGREE_LIST = (2, 3, 4, 6, 8, 12, 16, 24, 32)
 DESK_RUNS_PER_CELL = 100
-
-FULL_PHI_LIST = tuple(float(p) for p in range(45, 91))
-FULL_DEGREE_LIST = tuple(range(2, 56))
-FULL_RUNS_PER_CELL = 500
 
 DEFAULT_REGEN_LIMIT = 1000
 
@@ -97,15 +93,7 @@ class RunRecord:
 
     @property
     def outcome_label(self) -> str:
-        if self.failed:
-            return "regen_failure"
-        if self.completion:
-            return "completion"
-        if self.dominance:
-            return "dominance"
-        if self.survival:
-            return "survival"
-        return "extinction"
+        return "regen_failure" if self.failed else outcome_label(self)
 
 
 @dataclass(frozen=True)

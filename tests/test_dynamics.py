@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,18 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clogsim import dynamics
 from clogsim.dynamics import (
+    CONSENSUS_EPS,
     CONSENSUS_ONE,
     CONSENSUS_ZERO,
+    DEFAULT_ALPHA,
     MAX_ITERATIONS,
     RunOutcome,
+    SimState,
     classify_outcome,
     init_state,
     run_to_completion,
     simulate_run,
     step,
 )
+from clogsim.montecarlo import mix_seed, prepare_run
 from clogsim.network import from_edges, generate_pa_network
+from clogsim.scenarios import ScenarioConfig, scenario_biases
 
 
 def star4():
@@ -191,6 +198,81 @@ class TestRunToCompletion:
         net = from_edges(3, [(0, 1)])  # node 2 isolated
         with pytest.raises(ValueError):
             run_to_completion(net, 0, 60.0, 0.0, np.random.default_rng(0))
+
+
+def step_loop(net, innovator, phi_deg, beta, rng, max_iters, alpha=DEFAULT_ALPHA):
+    """Reference run: plain step() cycles until consensus or the cap."""
+    state = dynamics.init_state(net, innovator)
+    trace = [float(state.m.mean())]
+    terminated_by = MAX_ITERATIONS
+    while state.t < max_iters:
+        state = step(state, net, phi_deg, beta, alpha, rng)
+        trace.append(float(state.m.mean()))
+        if state.m.max() < CONSENSUS_EPS:
+            terminated_by = CONSENSUS_ZERO
+            break
+        if state.m.min() > 1.0 - CONSENSUS_EPS:
+            terminated_by = CONSENSUS_ONE
+            break
+    return state, terminated_by, trace
+
+
+def assert_same_run(net, innovator, phi_deg, beta, rng, max_iters, alpha=DEFAULT_ALPHA):
+    """simulate_run equals step_loop bit for bit.
+
+    Returns the outcome and whether simulate_run skipped draws.
+    """
+    ref_rng = copy.deepcopy(rng)
+    trace: list[float] = []
+    outcome, final = simulate_run(net, innovator, phi_deg, beta, rng, alpha=alpha,
+                                  max_iters=max_iters, mbar_trace=trace)
+    ref, ref_terminated_by, ref_trace = step_loop(net, innovator, phi_deg, beta, ref_rng,
+                                                  max_iters, alpha)
+    assert np.array_equal(final.m, ref.m)
+    assert np.array_equal(final.s, ref.s)
+    assert (final.t, outcome.t_final) == (ref.t, ref.t)
+    assert outcome.terminated_by == ref_terminated_by
+    assert outcome.mbar_final == float(ref.m.mean())
+    assert trace == ref_trace
+    return outcome, rng.bit_generator.state != ref_rng.bit_generator.state
+
+
+class TestAbsorbingExit:
+    @pytest.mark.parametrize("kind", ["nearby", "random", "hubs", "unbiased"])
+    def test_step_rule_matches_step_loop(self, kind):
+        # 1500 cycles lie well past the cycle (350-481 in sampled runs) by which
+        # capped phi = 90 runs stop changing, so capped runs take the exit.
+        for run_index in range(3):
+            rng = np.random.default_rng(mix_seed(20260810, kind, 90.0, 8, run_index))
+            config = ScenarioConfig(kind=kind, phi_deg=90.0, innovator_degree=8)
+            net, innovator, _ = prepare_run(config, 8, rng)
+            beta = scenario_biases(kind, net, innovator, rng)
+            outcome, skipped = assert_same_run(net, innovator, 90.0, beta, rng, 1500)
+            assert skipped == (outcome.terminated_by == MAX_ITERATIONS)
+
+    def test_no_exit_while_a_node_sits_at_its_threshold(self, monkeypatch):
+        # Path a2 - a - k - b - b2.  Node k sits exactly on its threshold
+        # 0.5, so its signal is a coin flip.  When it emits 1, every state
+        # is reproduced bit for bit; when it emits 0, a and b move.  The run
+        # must keep drawing, even after cycles that changed nothing.
+        net = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        beta = np.array([0.0, 0.0, 0.0, 0.2, 0.0])
+        start = np.array([1.0, 1.0, 0.5, 0.5, 0.0])
+        monkeypatch.setattr(dynamics, "init_state",
+                            lambda net, innovator: SimState(m=start.copy(), s=None, t=0))
+        rng = np.random.default_rng(0)
+        first = step(dynamics.init_state(net, 0), net, 90.0, beta, DEFAULT_ALPHA,
+                     copy.deepcopy(rng))
+        assert np.array_equal(first.m, start)
+        _, skipped = assert_same_run(net, 0, 90.0, beta, rng, 40)
+        assert not skipped
+
+    def test_interior_angle_never_exits(self):
+        rng = np.random.default_rng(7)
+        net = generate_pa_network(64, 2, rng)
+        beta = rng.uniform(-0.5, 0.5, 64)
+        _, skipped = assert_same_run(net, 0, 89.0, beta, rng, 300)
+        assert not skipped
 
 
 class TestClassifyOutcome:

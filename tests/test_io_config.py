@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clogsim.io_config import (
     ConfigError,
@@ -15,7 +17,7 @@ from clogsim.io_config import (
     write_csv,
     write_sweep_outputs,
 )
-from clogsim.montecarlo import RunRecord, execute_sweep
+from clogsim.montecarlo import RunRecord, execute_sweep, mix_seed
 from clogsim.scenarios import ScenarioConfig
 from clogsim.montecarlo import SweepSpec
 
@@ -60,6 +62,32 @@ class TestParseSweep:
         )
         assert spec.phi_list == (50.0, 60.0, 70.0)
         assert spec.degree_list == (2, 8, 32)
+
+    def test_decimal_range_lands_on_printed_values(self):
+        spec = parse_sweep_config({"scenario": "random", "phi": "60:90:0.1", "seed": "1"})
+        assert len(spec.phi_list) == 301
+        assert spec.phi_list[3] == 60.3
+        assert spec.phi_list[-1] == 90.0
+
+    @given(
+        lo=st.integers(450, 890).map(lambda k: k / 10),
+        step=st.integers(1, 300).map(lambda k: k / 100),
+        count=st.integers(0, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_range_values_replay_from_their_csv_text(self, lo, step, count):
+        hi = min(90.0, lo + count * step)
+        spec = parse_sweep_config(
+            {"scenario": "random", "phi": f"{lo!r}:{hi!r}:{step!r}", "degrees": "2", "seed": "1"}
+        )
+        assert spec.phi_list[0] == lo
+        for phi in spec.phi_list:
+            replayed = float(format_field(phi))
+            assert mix_seed(1, "random", phi, 2, 0) == mix_seed(1, "random", replayed, 2, 0)
+
+    def test_step_finer_than_csv_text_rejected(self):
+        with pytest.raises(ConfigError, match="phi"):
+            parse_sweep_config({"scenario": "random", "phi": "60:61:1e-12", "seed": "1"})
 
     def test_desk_defaults(self):
         spec = parse_sweep_config({"scenario": "random", "phi": "60", "seed": "5"})
