@@ -31,7 +31,7 @@ from .io_config import (
     write_sweep_outputs,
 )
 from .network import bfs_distances, edge_array, generate_pa_network
-from .scenarios import KINDS, scenario_biases
+from .scenarios import KINDS
 
 __all__ = ["main", "build_parser"]
 
@@ -171,17 +171,15 @@ def _cmd_run(args) -> int:
     config, seed, regen_limit, run_index = parse_run_config(pairs)
     degree = config.innovator_degree
 
-    # Same per-run seed derivation as the sweep grid, so any sweep run can
-    # be replayed in isolation from its coordinates.
-    rng = np.random.default_rng(
-        montecarlo.mix_seed(seed, config.kind, config.phi_deg, degree, run_index)
+    # The sweep's own per-run draws, so any sweep run can be replayed in
+    # isolation from its coordinates.
+    _, rng, net, innovator, attempts, beta = montecarlo.prepare_run(
+        config, seed, run_index, regen_limit
     )
-    net, innovator, attempts = montecarlo.prepare_run(config, degree, rng, regen_limit)
     if net is None:
         raise RuntimeError(
             f"no node of degree {degree} in {regen_limit} generated networks"
         )
-    beta = scenario_biases(config.kind, net, innovator, rng)
     trace: list[float] = []
     outcome, final = simulate_run(
         net, innovator, config.phi_deg, beta, rng,

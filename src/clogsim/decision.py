@@ -127,7 +127,8 @@ def phi_to_tau(phi_deg: float, family: str = "clog") -> float:
 
 
 def _as_prob(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=np.float64)
+    # A copy, so the identity rule at phi = 45 never hands back the input.
+    arr = np.array(m, dtype=np.float64)
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("mental state m must be a finite probability in [0, 1]")
     return arr
@@ -160,35 +161,25 @@ def _clog_kernel(m: np.ndarray, tau: float, beta) -> np.ndarray:
     return out
 
 
-def _step_kernel(m: np.ndarray, beta, at_threshold) -> np.ndarray:
-    thr = 0.5 + np.asarray(beta, dtype=np.float64)
+def _step_kernel(m: np.ndarray, thr, at_threshold) -> np.ndarray:
     return np.where(m < thr, 0.0, np.where(m > thr, 1.0, at_threshold))
 
 
-def _clog_values(m: np.ndarray, phi_deg: float, beta) -> np.ndarray:
-    if not 45.0 <= phi_deg <= 90.0:
-        raise ValueError(f"clog angle must lie in [45, 90], got {phi_deg!r}")
-    if phi_deg == 45.0:
-        return np.array(m, copy=True)
+def _rule(family: str, phi_deg: float, beta):
+    """Vectorized m -> f(m) closure for ``family``, angle resolved once."""
+    tau = phi_to_tau(phi_deg, family)  # validates the family and the angle
     if phi_deg == 90.0:
-        # Pointwise limit of the clog: the threshold itself stays fixed at
-        # 0.5 + beta for every tau, hence also in the limit.
+        # Pointwise limit: the threshold stays at 0.5 + beta for every tau.
+        # At the threshold the clog keeps the value 0.5 + beta, while the
+        # logistic takes 0.5 (both exponentials tie).
         thr = 0.5 + np.asarray(beta, dtype=np.float64)
-        return _step_kernel(m, beta, thr)
-    return _clog_kernel(m, phi_to_tau(phi_deg, "clog"), beta)
-
-
-def _logistic_values(m: np.ndarray, phi_deg: float, beta) -> np.ndarray:
-    if not 0.0 <= phi_deg <= 90.0:
-        raise ValueError(f"logistic angle must lie in [0, 90], got {phi_deg!r}")
-    if phi_deg == 0.0:
-        return np.full_like(m, 0.5)
-    if phi_deg == 90.0:
-        # Unlike the clog, the logistic limit takes the value 0.5 at the
-        # threshold (both exponentials tie).
-        return _step_kernel(m, beta, 0.5)
-    tau = phi_to_tau(phi_deg, "logistic")
-    return _sigmoid((2.0 * m - 1.0 - 2.0 * np.asarray(beta, dtype=np.float64)) / tau)
+        at_threshold = thr if family == "clog" else 0.5
+        return lambda m: _step_kernel(m, thr, at_threshold)
+    if tau == math.inf:
+        return (lambda m: m) if family == "clog" else (lambda m: np.full_like(m, 0.5))
+    if family == "clog":
+        return lambda m: _clog_kernel(m, tau, beta)
+    return lambda m: _sigmoid((2.0 * m - 1.0 - 2.0 * np.asarray(beta, dtype=np.float64)) / tau)
 
 
 def clog_eval(m, params: DecisionParams):
@@ -201,7 +192,7 @@ def clog_eval(m, params: DecisionParams):
     or an array; the result matches.
     """
     arr = _as_prob(m)
-    out = _clog_values(arr, params.phi_deg, params.beta)
+    out = _rule("clog", params.phi_deg, params.beta)(arr)
     return float(out) if np.ndim(m) == 0 else out
 
 
@@ -213,7 +204,7 @@ def logistic_eval(m, params: DecisionParams):
     threshold.
     """
     arr = _as_prob(m)
-    out = _logistic_values(arr, params.phi_deg, params.beta)
+    out = _rule("logistic", params.phi_deg, params.beta)(arr)
     return float(out) if np.ndim(m) == 0 else out
 
 
@@ -225,20 +216,7 @@ def production_rule(phi_deg: float, beta):
     simulation maintains that invariant) and skips revalidation; it is the
     per-cycle hot path.
     """
-    if not 45.0 <= phi_deg <= 90.0:
-        raise ValueError(f"clog angle must lie in [45, 90], got {phi_deg!r}")
-    if phi_deg == 45.0:
-        return lambda m: m
-    if phi_deg == 90.0:
-        thr = 0.5 + np.asarray(beta, dtype=np.float64)
-        return lambda m: np.where(m < thr, 0.0, np.where(m > thr, 1.0, thr))
-    tau = phi_to_tau(phi_deg, "clog")
-    return lambda m: _clog_kernel(m, tau, beta)
-
-
-def _scalar_map(family: str, params: DecisionParams):
-    values = _clog_values if family == "clog" else _logistic_values
-    return lambda x: float(values(np.float64(x), params.phi_deg, params.beta))
+    return _rule("clog", phi_deg, beta)
 
 
 def _bisect_root(g, a: float, b: float) -> float:
@@ -286,15 +264,16 @@ def find_fixed_points(family: str, params: DecisionParams):
     For the clog at phi = 45 every point is fixed; the distinguished
     :data:`IDENTITY_CONTINUUM` is returned instead of a list.
     """
-    _check_family(family)
     if family == "clog" and params.phi_deg == 45.0:
         return IDENTITY_CONTINUUM
 
-    values = _clog_values if family == "clog" else _logistic_values
+    rule = _rule(family, params.phi_deg, params.beta)
     grid = np.arange(SCAN_INTERVALS + 1) / SCAN_INTERVALS
-    g = values(grid, params.phi_deg, params.beta) - grid
+    g = rule(grid) - grid
 
-    f = _scalar_map(family, params)
+    def f(x: float) -> float:
+        return float(rule(np.float64(x)))
+
     roots: list[float] = []
     for k in np.flatnonzero(g == 0.0):
         roots.append(float(grid[k]))
@@ -324,5 +303,4 @@ def tabulate_curve(family: str, params: DecisionParams, n_points: int) -> np.nda
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points!r}")
     grid = np.arange(n_points) / (n_points - 1)
-    values = _clog_values if family == "clog" else _logistic_values
-    return np.column_stack([grid, values(grid, params.phi_deg, params.beta)])
+    return np.column_stack([grid, _rule(family, params.phi_deg, params.beta)(grid)])

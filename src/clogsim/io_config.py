@@ -16,7 +16,7 @@ import csv
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .montecarlo import (
     DEFAULT_REGEN_LIMIT,
@@ -126,9 +126,10 @@ def _parse_float(pairs: dict, key: str, default=None):
 def _parse_list(pairs: dict, key: str, conv, default):
     """Comma list (``45,60,90``) or inclusive range (``2:20`` / ``2:20:3``).
 
-    Range values are ``lo + k*step``, each replaced by the value its CSV
-    text parses back to, so a printed grid value replays the same seed; a
-    step too fine for that text is rejected.
+    Every value must be the float its 9-digit CSV text parses back to, so
+    a printed grid value replays the same seed.  Range values
+    ``lo + k*step`` are replaced by that float; a list value that differs
+    from it, or a step too fine for the text, is rejected.
     """
     if key not in pairs:
         return default
@@ -147,12 +148,20 @@ def _parse_list(pairs: dict, key: str, conv, default):
                 if values and v <= values[-1]:
                     raise ValueError
                 values.append(v)
-            return tuple(values)
-        return tuple(conv(tok) for tok in text.split(","))
+        else:
+            values = [conv(tok) for tok in text.split(",")]
     except ValueError:
         raise ConfigError(
             f"{key}: expected a comma list or lo:hi[:step] range, got {text!r}"
         ) from None
+    for v in values:
+        printed = format_field(v)
+        if printed and conv(printed) != v:
+            raise ConfigError(
+                f"{key}: {v!r} prints as {printed} in sweep outputs, which would "
+                f"replay a different seed; give at most 9 significant digits"
+            )
+    return tuple(values)
 
 
 def _require_seed(pairs: dict) -> int:
@@ -171,11 +180,11 @@ def _scenario_from(pairs: dict, phi_deg: float, degree: int) -> ScenarioConfig:
         return ScenarioConfig(
             kind=pairs["scenario"],
             phi_deg=phi_deg,
-            alpha=_parse_float(pairs, "alpha", 0.1),
-            n=_parse_int(pairs, "n", 256),
-            attach_count=_parse_int(pairs, "attach", 2),
+            alpha=_parse_float(pairs, "alpha", ScenarioConfig.alpha),
+            n=_parse_int(pairs, "n", ScenarioConfig.n),
+            attach_count=_parse_int(pairs, "attach", ScenarioConfig.attach_count),
             innovator_degree=degree,
-            max_iters=_parse_int(pairs, "max_iters", 10_000),
+            max_iters=_parse_int(pairs, "max_iters", ScenarioConfig.max_iters),
         )
     except ValueError as e:
         raise ConfigError(str(e)) from None
@@ -184,9 +193,9 @@ def _scenario_from(pairs: dict, phi_deg: float, degree: int) -> ScenarioConfig:
 def parse_sweep_config(pairs: dict) -> SweepSpec:
     """Validated SweepSpec from key=value pairs.
 
-    Defaults: n=256, attach=2, alpha=0.1, max_iters=10000, and the
-    desk-scale phi/degree/runs grid.  ``seed`` and ``scenario`` have no
-    defaults and are required.
+    Scenario defaults are those of ScenarioConfig, and the grid defaults
+    to the desk-scale phi/degree/runs lists.  ``seed`` and ``scenario``
+    have no defaults and are required.
     """
     _check_keys(pairs, SWEEP_KEYS)
     seed = _require_seed(pairs)
@@ -260,11 +269,7 @@ def write_csv(path: str, header, rows) -> None:
         raise OSError(f"cannot write {path}: {e}") from e
 
 
-CELLS_HEADER = (
-    "phi_deg", "innovator_degree", "runs", "n_survival", "n_dominance",
-    "n_completion", "mean_mbar_final", "sd_mbar_final", "mean_t_final",
-    "n_regen_failures",
-)
+CELLS_HEADER = tuple(f.name for f in fields(CellResult))
 RUNS_HEADER = ("scenario", "phi_deg", "degree", "run_index", "mbar_final", "t_final", "outcome")
 
 
@@ -276,18 +281,11 @@ def write_sweep_outputs(cells, records, scenario_kind: str, out_dir: str):
         raise OSError(f"cannot create output directory {out_dir}: {e}") from e
     artifacts = RunArtifacts.in_dir(out_dir)
 
-    def cell_row(c: CellResult):
-        return (
-            c.phi_deg, c.innovator_degree, c.runs, c.n_survival, c.n_dominance,
-            c.n_completion, c.mean_mbar_final, c.sd_mbar_final, c.mean_t_final,
-            c.n_regen_failures,
-        )
-
     def run_row(r):
         mbar = None if r.failed else r.mbar_final
         t_final = None if r.failed else r.t_final
         return (scenario_kind, r.phi_deg, r.degree, r.run_index, mbar, t_final, r.outcome_label)
 
-    write_csv(artifacts.cells_path, CELLS_HEADER, (cell_row(c) for c in cells))
+    write_csv(artifacts.cells_path, CELLS_HEADER, (astuple(c) for c in cells))
     write_csv(artifacts.runs_path, RUNS_HEADER, (run_row(r) for r in records))
     return artifacts.cells_path, artifacts.runs_path

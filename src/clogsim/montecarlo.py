@@ -57,10 +57,11 @@ class SweepSpec:
     regen_limit: int = DEFAULT_REGEN_LIMIT
 
     def __post_init__(self) -> None:
-        if not self.phi_list:
-            raise ValueError("phi list must not be empty")
-        if not self.degree_list:
-            raise ValueError("degrees list must not be empty")
+        for name, values in (("phi", self.phi_list), ("degrees", self.degree_list)):
+            if not values:
+                raise ValueError(f"{name} list must not be empty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} list repeats a value: {list(values)}")
         for phi in self.phi_list:
             # Re-runs the scenario's angle constraints for each grid value.
             replace(self.scenario, phi_deg=float(phi))
@@ -74,9 +75,10 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    """One run's coordinates and outcome; ``failed`` marks a run whose
-    target innovator degree never appeared within the regeneration limit."""
+class RunRecord(RunOutcome):
+    """One run's coordinates and its RunOutcome fields; ``failed`` marks a
+    run whose target innovator degree never appeared within the
+    regeneration limit."""
 
     phi_deg: float
     degree: int
@@ -84,12 +86,6 @@ class RunRecord:
     seed: int
     failed: bool
     regen_attempts: int
-    mbar_final: float
-    t_final: int
-    terminated_by: str
-    survival: bool
-    dominance: bool
-    completion: bool
 
     @property
     def outcome_label(self) -> str:
@@ -146,21 +142,30 @@ def mix_seed(master_seed: int, kind: str, phi_deg: float, degree: int, run_index
 
 def prepare_run(
     config: ScenarioConfig,
-    degree: int,
-    rng: np.random.Generator,
+    master_seed: int,
+    run_index: int,
     regen_limit: int = DEFAULT_REGEN_LIMIT,
 ):
-    """Generate networks until one holds a node of the target degree.
+    """Seed, network, innovator and biases of one run.
 
-    Returns (net, innovator, attempts); net and innovator are None when the
+    This is the one place where a run's draws are made, shared by sweeps
+    and by ``clogsim run``: the seed from :func:`mix_seed`, a generator
+    from it, networks generated until one holds a node of
+    ``config.innovator_degree``, then the scenario's biases.  Returns
+    (seed, rng, net, innovator, attempts, beta); the simulation continues
+    on ``rng``.  net, innovator and beta are None when the regeneration
     limit is exhausted.
     """
+    degree = config.innovator_degree
+    seed = mix_seed(master_seed, config.kind, config.phi_deg, degree, run_index)
+    rng = np.random.default_rng(seed)
     for attempt in range(1, regen_limit + 1):
         net = generate_pa_network(config.n, config.attach_count, rng)
         innovator = find_node_with_degree(net, degree, rng)
         if innovator is not None:
-            return net, innovator, attempt
-    return None, None, regen_limit
+            beta = scenario_biases(config.kind, net, innovator, rng)
+            return seed, rng, net, innovator, attempt, beta
+    return seed, rng, None, None, regen_limit, None
 
 
 def execute_run(spec: SweepSpec, phi_deg: float, degree: int, run_index: int) -> RunRecord:
@@ -172,37 +177,22 @@ def execute_run(spec: SweepSpec, phi_deg: float, degree: int, run_index: int) ->
     if not 0 <= run_index < spec.runs_per_cell:
         raise ValueError(f"run_index {run_index!r} outside [0, {spec.runs_per_cell})")
 
-    kind = spec.scenario.kind
-    seed = mix_seed(spec.master_seed, kind, phi_deg, degree, run_index)
-    rng = np.random.default_rng(seed)
     config = replace(spec.scenario, phi_deg=float(phi_deg), innovator_degree=int(degree))
-
-    net, innovator, attempts = prepare_run(config, degree, rng, spec.regen_limit)
+    seed, rng, net, innovator, attempts, beta = prepare_run(
+        config, spec.master_seed, run_index, spec.regen_limit
+    )
+    coords = dict(phi_deg=float(phi_deg), degree=int(degree), run_index=int(run_index),
+                  seed=seed, regen_attempts=attempts)
     if net is None:
         return RunRecord(
-            phi_deg=float(phi_deg), degree=int(degree), run_index=int(run_index),
-            seed=seed, failed=True, regen_attempts=attempts,
-            mbar_final=float("nan"), t_final=-1, terminated_by="",
+            **coords, failed=True, mbar_final=float("nan"), t_final=-1, terminated_by="",
             survival=False, dominance=False, completion=False,
         )
-
-    beta = scenario_biases(kind, net, innovator, rng)
     outcome = run_to_completion(
         net, innovator, config.phi_deg, beta, rng,
         alpha=config.alpha, max_iters=config.max_iters,
     )
-    return _record_from_outcome(phi_deg, degree, run_index, seed, attempts, outcome)
-
-
-def _record_from_outcome(phi_deg, degree, run_index, seed, attempts, outcome: RunOutcome) -> RunRecord:
-    return RunRecord(
-        phi_deg=float(phi_deg), degree=int(degree), run_index=int(run_index),
-        seed=seed, failed=False, regen_attempts=attempts,
-        mbar_final=outcome.mbar_final, t_final=outcome.t_final,
-        terminated_by=outcome.terminated_by,
-        survival=outcome.survival, dominance=outcome.dominance,
-        completion=outcome.completion,
-    )
+    return RunRecord(**coords, failed=False, **vars(outcome))
 
 
 _WORKER_SPEC: SweepSpec | None = None
@@ -291,15 +281,9 @@ def empirical_degree_pmf(
     """
     if networks < 1:
         raise ValueError(f"networks must be at least 1, got {networks!r}")
-    counts = np.zeros(0, dtype=np.int64)
-    for _ in range(networks):
-        net = generate_pa_network(n, attach_count, rng)
-        c = np.bincount(net.degrees)
-        if c.size > counts.size:
-            c[: counts.size] += counts
-            counts = c
-        else:
-            counts[: c.size] += c
+    counts = np.bincount(np.concatenate(
+        [generate_pa_network(n, attach_count, rng).degrees for _ in range(networks)]
+    ))
     return counts / counts.sum()
 
 

@@ -7,11 +7,14 @@ classic growth process: a small complete seed, then each arriving node
 links to ``attach_count`` distinct existing nodes chosen with probability
 proportional to current degree.  With attach_count = 2 on 256 nodes this
 gives 509 edges, i.e. average degree just under 4.
+
+Hop distances come from a level-synchronous frontier BFS over the CSR
+arrays: each level marks all unvisited neighbors of the frontier at once.
+The connectivity check of every generated network is the same BFS.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,37 +118,34 @@ def generate_pa_network(n: int, attach_count: int, rng: np.random.Generator) -> 
     return net
 
 
+def _bfs(net: Network, source: int) -> np.ndarray:
+    # Hop distance from source, -1 where unreachable.  owner[k] is the node
+    # whose neighbor list holds indices[k], so indices[frontier[owner]] are
+    # all neighbors of the frontier, duplicates included.
+    owner = np.repeat(np.arange(net.n), net.degrees)
+    dist = np.full(net.n, -1, dtype=np.int64)
+    dist[source] = 0
+    frontier = dist == 0
+    level = 0
+    while True:
+        reached = net.indices[frontier[owner]]
+        reached = reached[dist[reached] < 0]
+        if reached.size == 0:
+            return dist
+        level += 1
+        dist[reached] = level
+        frontier = dist == level
+
+
 def _is_connected(net: Network) -> bool:
-    if net.n == 1:
-        return True
-    seen = np.zeros(net.n, dtype=bool)
-    seen[0] = True
-    frontier = deque([0])
-    count = 1
-    while frontier:
-        u = frontier.popleft()
-        for v in net.neighbors(u):
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                frontier.append(int(v))
-    return count == net.n
+    return bool(np.all(_bfs(net, 0) >= 0))
 
 
 def bfs_distances(net: Network, source: int) -> np.ndarray:
     """Hop distance from ``source`` to every node (requires connectivity)."""
     if not 0 <= source < net.n:
         raise ValueError(f"source {source!r} out of range for n={net.n}")
-    dist = np.full(net.n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = deque([source])
-    while frontier:
-        u = frontier.popleft()
-        du = dist[u]
-        for v in net.neighbors(u):
-            if dist[v] < 0:
-                dist[v] = du + 1
-                frontier.append(int(v))
+    dist = _bfs(net, source)
     if np.any(dist < 0):
         raise ValueError("graph is not connected; distances are undefined")
     return dist

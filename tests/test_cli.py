@@ -176,6 +176,64 @@ class TestSweep:
         assert (tmp_path / "cells.csv").exists()
 
 
+    @pytest.mark.parametrize("flag, key", [("--phi", "phi"), ("--degrees", "degrees")])
+    def test_repeated_grid_value_is_usage_error(self, capsys, tmp_path, flag, key):
+        grid = {"--phi": "60", "--degrees": "4"}
+        grid[flag] += "," + grid[flag]
+        code, _, err = run_cli(
+            capsys, "sweep", "--scenario", "random", "--phi", grid["--phi"],
+            "--degrees", grid["--degrees"], "--runs", "2", "--seed", "5",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert key in err
+        assert not (tmp_path / "cells.csv").exists()
+
+    def test_list_value_beyond_csv_digits_is_usage_error(self, capsys, tmp_path):
+        # 60.0000000001 would print as 60 but seed differently from 60.
+        code, _, err = run_cli(
+            capsys, "sweep", "--scenario", "random", "--phi", "60.0000000001",
+            "--degrees", "4", "--runs", "1", "--seed", "5", "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert "phi" in err
+
+    def test_list_values_with_csv_digits_accepted(self, capsys, tmp_path):
+        code, _, _ = run_cli(
+            capsys, "sweep", "--scenario", "random", "--phi", "60.3,90",
+            "--degrees", "4", "--runs", "1", "--seed", "5", "--n", "64",
+            "--max-iters", "50", "--workers", "1", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        runs = list(csv.reader(open(tmp_path / "runs.csv")))
+        assert [r[1] for r in runs[1:]] == ["60.3", "90"]
+
+
+class TestReplay:
+    @pytest.mark.parametrize("scenario", ["hubs", "nearby", "random"])
+    def test_every_sweep_row_replays_with_run(self, capsys, tmp_path, scenario):
+        # Any runs.csv row can be replayed in isolation with `clogsim run`.
+        code, _, _ = run_cli(
+            capsys, "sweep", "--scenario", scenario, "--phi", "60,90",
+            "--degrees", "3,8", "--runs", "2", "--seed", "20260810",
+            "--workers", "1", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        rows = list(csv.DictReader(open(tmp_path / "runs.csv")))
+        assert len(rows) == 8
+        for row in rows:
+            code, out, _ = run_cli(
+                capsys, "run", "--scenario", scenario, "--phi", row["phi_deg"],
+                "--degree", row["degree"], "--run-index", row["run_index"],
+                "--seed", "20260810",
+            )
+            assert code == 0
+            fields = dict(tok.split("=", 1) for tok in out.split())
+            assert fields["outcome"] == row["outcome"]
+            assert fields["mbar_final"] == row["mbar_final"]
+            assert fields["t_final"] == row["t_final"]
+
+
 class TestTopLevel:
     def test_no_command(self, capsys):
         code, _, err = run_cli(capsys)

@@ -119,6 +119,11 @@ class TestClogEval:
         out = clog_eval(grid, DecisionParams(45.0, 0.3))
         assert np.array_equal(out, grid)
 
+    def test_identity_returns_a_copy(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        out = clog_eval(grid, DecisionParams(45.0, 0.0))
+        assert not np.shares_memory(out, grid)
+
     def test_step_at_90(self):
         p = DecisionParams(90.0, 0.0)
         assert clog_eval(0.49, p) == 0.0
@@ -250,12 +255,13 @@ class TestProductionRule:
         rng = np.random.default_rng(7)
         m = rng.random(64)
         beta = rng.uniform(-0.5, 0.5, 64)
-        for phi in (45.0, 60.0, 90.0):
+        for phi in (45.0, 60.0, 89.9, 90.0):
             rule = production_rule(phi, beta)
             expected = np.array(
                 [clog_eval(mi, DecisionParams(phi, bi)) for mi, bi in zip(m, beta)]
             )
-            assert np.allclose(rule(m), expected, rtol=0, atol=1e-15)
+            # One rule factory behind both: they agree bit for bit.
+            assert np.array_equal(rule(m), expected)
 
     def test_rejects_bad_angle(self):
         with pytest.raises(ValueError):

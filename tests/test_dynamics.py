@@ -21,9 +21,9 @@ from clogsim.dynamics import (
     simulate_run,
     step,
 )
-from clogsim.montecarlo import mix_seed, prepare_run
+from clogsim.montecarlo import prepare_run
 from clogsim.network import from_edges, generate_pa_network
-from clogsim.scenarios import ScenarioConfig, scenario_biases
+from clogsim.scenarios import ScenarioConfig
 
 
 def star4():
@@ -243,10 +243,8 @@ class TestAbsorbingExit:
         # 1500 cycles lie well past the cycle (350-481 in sampled runs) by which
         # capped phi = 90 runs stop changing, so capped runs take the exit.
         for run_index in range(3):
-            rng = np.random.default_rng(mix_seed(20260810, kind, 90.0, 8, run_index))
             config = ScenarioConfig(kind=kind, phi_deg=90.0, innovator_degree=8)
-            net, innovator, _ = prepare_run(config, 8, rng)
-            beta = scenario_biases(kind, net, innovator, rng)
+            _, rng, net, innovator, _, beta = prepare_run(config, 20260810, run_index)
             outcome, skipped = assert_same_run(net, innovator, 90.0, beta, rng, 1500)
             assert skipped == (outcome.terminated_by == MAX_ITERATIONS)
 

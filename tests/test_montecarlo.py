@@ -116,6 +116,13 @@ class TestExecuteSweep:
             (p, d, i) for p in (75.0, 80.0) for d in (2, 3) for i in range(2)
         ]
 
+    def test_repeated_grid_value_rejected(self):
+        # A repeated value would run, and count, every cell of its row twice.
+        with pytest.raises(ValueError, match="phi list repeats"):
+            small_spec(phi_list=(60.0, 75.0, 60.0))
+        with pytest.raises(ValueError, match="degrees list repeats"):
+            small_spec(degree_list=(4, 4))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             small_spec(phi_list=())

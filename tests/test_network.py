@@ -1,7 +1,12 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clogsim.network import (
+    _is_connected,
     bfs_distances,
     edge_array,
     find_node_with_degree,
@@ -126,6 +131,60 @@ class TestBfsDistances:
         net = from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
             bfs_distances(net, 0)
+
+
+def reference_distances(net, source):
+    """Node-at-a-time deque BFS: hop distances, -1 where unreached."""
+    dist = np.full(net.n, -1, dtype=np.int64)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in net.neighbors(u):
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(int(v))
+    return dist
+
+
+@st.composite
+def random_graphs(draw):
+    # Up to 40 random edges on up to 24 nodes: many draws are disconnected,
+    # some have isolated nodes, a few have no edges at all.
+    n = draw(st.integers(1, 24))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)) if pairs else []
+    return from_edges(n, edges)
+
+
+@st.composite
+def pa_networks(draw):
+    attach = draw(st.integers(1, 3))
+    n = draw(st.integers(attach + 1, 128))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return generate_pa_network(n, attach, np.random.default_rng(seed))
+
+
+class TestFrontierBfsMatchesReference:
+    def check(self, net, source):
+        ref = reference_distances(net, source)
+        if np.all(ref >= 0):
+            assert np.array_equal(bfs_distances(net, source), ref)
+        else:
+            with pytest.raises(ValueError, match="not connected"):
+                bfs_distances(net, source)
+        assert _is_connected(net) == bool(np.all(reference_distances(net, 0) >= 0))
+
+    @given(net=random_graphs(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_graphs(self, net, data):
+        self.check(net, data.draw(st.integers(0, net.n - 1)))
+
+    @given(net=pa_networks(), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_pa_networks(self, net, data):
+        assert _is_connected(net)
+        self.check(net, data.draw(st.integers(0, net.n - 1)))
 
 
 class TestFindNodeWithDegree:
