@@ -180,7 +180,7 @@ def _cmd_run(args) -> int:
         raise RuntimeError(
             f"no node of degree {degree} in {regen_limit} generated networks"
         )
-    trace: list[float] = []
+    trace: list[float] | None = [] if args.dump_trajectory else None
     outcome, final = simulate_run(
         net, innovator, config.phi_deg, beta, rng,
         alpha=config.alpha, max_iters=config.max_iters, mbar_trace=trace,

@@ -135,30 +135,23 @@ def _as_prob(m) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split at 0 so neither branch exponentiates a large positive argument.
-    # The upper branch is 1 - e/(1+e) rather than 1/(1+e): rounding 1 + e
-    # to the [1, 2) grid first would leave every result below 1 a multiple
-    # of 2**-52, two ulps, and drop a bit of the output's resolution.
-    out = np.empty_like(x)
-    pos = x >= 0
-    e = np.exp(-x[pos])
-    out[pos] = 1.0 - e / (1.0 + e)
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # Exponentiate only -|x| so no argument overflows.  The upper branch is
+    # 1 - e/(1+e) rather than 1/(1+e): rounding 1 + e to the [1, 2) grid
+    # first would leave every result below 1 a multiple of 2**-52, two ulps,
+    # and drop a bit of the output's resolution.
+    e = np.exp(-np.abs(x))
+    r = e / (1.0 + e)
+    return np.where(x >= 0, 1.0 - r, r)
 
 
 def _clog_kernel(m: np.ndarray, tau: float, beta) -> np.ndarray:
     # Log-odds form L = ln(m/(1-m)) + (2m - 1 - 2 beta)/tau: the direct
-    # exponential form overflows once tau is small.  Endpoints pass through
-    # exactly, which pins the fixed points at (0,0) and (1,1).
-    out = np.array(m, copy=True)
-    interior = (m > 0.0) & (m < 1.0)
-    mi = m[interior]
-    bi = beta[interior] if np.ndim(beta) else beta
-    L = np.log(mi / (1.0 - mi)) + (2.0 * mi - 1.0 - 2.0 * bi) / tau
-    out[interior] = _sigmoid(L)
-    return out
+    # exponential form overflows once tau is small.  At m = 0 and m = 1,
+    # L is -inf and +inf, which the sigmoid maps to exactly 0 and 1; that
+    # pins the fixed points at (0,0) and (1,1).
+    with np.errstate(divide="ignore"):
+        L = np.log(m / (1.0 - m)) + (2.0 * m - 1.0 - 2.0 * beta) / tau
+    return _sigmoid(L)
 
 
 def _step_kernel(m: np.ndarray, thr, at_threshold) -> np.ndarray:
@@ -182,6 +175,11 @@ def _rule(family: str, phi_deg: float, beta):
     return lambda m: _sigmoid((2.0 * m - 1.0 - 2.0 * np.asarray(beta, dtype=np.float64)) / tau)
 
 
+def _eval(family: str, m, params: DecisionParams):
+    out = _rule(family, params.phi_deg, params.beta)(_as_prob(m))
+    return float(out) if np.ndim(m) == 0 else out
+
+
 def clog_eval(m, params: DecisionParams):
     """clog production probability for mental state ``m``.
 
@@ -191,9 +189,7 @@ def clog_eval(m, params: DecisionParams):
     1 are resolved to one ulp (2**-53), not to two.  ``m`` may be a scalar
     or an array; the result matches.
     """
-    arr = _as_prob(m)
-    out = _rule("clog", params.phi_deg, params.beta)(arr)
-    return float(out) if np.ndim(m) == 0 else out
+    return _eval("clog", m, params)
 
 
 def logistic_eval(m, params: DecisionParams):
@@ -203,9 +199,7 @@ def logistic_eval(m, params: DecisionParams):
     constant 0.5 and phi = 90 the step at 0.5 + beta with value 0.5 at the
     threshold.
     """
-    arr = _as_prob(m)
-    out = _rule("logistic", params.phi_deg, params.beta)(arr)
-    return float(out) if np.ndim(m) == 0 else out
+    return _eval("logistic", m, params)
 
 
 def production_rule(phi_deg: float, beta):

@@ -168,8 +168,9 @@ def _require_seed(pairs: dict) -> int:
     if "seed" not in pairs:
         raise ConfigError("seed: a master seed is required")
     seed = _parse_int(pairs, "seed")
-    if seed < 0:
-        raise ConfigError(f"seed: must be non-negative, got {seed}")
+    if not 0 <= seed < 2**64:
+        # mix_seed keeps only the low 64 bits, so a larger seed would alias one below.
+        raise ConfigError(f"seed: must lie in [0, 2**64), got {seed}")
     return seed
 
 

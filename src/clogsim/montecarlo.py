@@ -72,6 +72,8 @@ class SweepSpec:
             raise ValueError(f"runs must be at least 1, got {self.runs_per_cell!r}")
         if self.regen_limit < 1:
             raise ValueError(f"regen_limit must be at least 1, got {self.regen_limit!r}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.master_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,9 @@ def execute_sweep(spec: SweepSpec, workers: int | None = None):
     ]
     if workers is None:
         workers = os.cpu_count() or 1
-    workers = max(1, min(workers, len(tasks)))
+    if workers < 1:
+        raise ValueError(f"workers: must be at least 1, got {workers}")
+    workers = min(workers, len(tasks))
 
     if workers == 1:
         records = [execute_run(spec, *coords) for coords in tasks]

@@ -3,7 +3,9 @@ import io
 
 import pytest
 
+from clogsim import cli
 from clogsim.cli import main
+from clogsim.dynamics import simulate_run
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +125,26 @@ class TestRun:
         assert code == 1
         assert "neutral" in err
 
+    def test_trace_built_only_for_trajectory_dump(self, capsys, tmp_path, monkeypatch):
+        traces = []
+
+        def recording_simulate_run(*args, **kwargs):
+            traces.append(kwargs["mbar_trace"])
+            return simulate_run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_run", recording_simulate_run)
+        argv = ("run", "--scenario", "nearby", "--phi", "90", "--degree", "3",
+                "--seed", "7", "--max-iters", "3000", "--out-dir", str(tmp_path))
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, dumped, _ = run_cli(capsys, *argv, "--dump-trajectory")
+        assert code == 0
+        assert traces[0] is None
+        t_final = int(dict(tok.split("=", 1) for tok in plain.split())["t_final"])
+        assert len(traces[1]) == t_final + 1
+        # The summary line does not depend on the trace.
+        assert dumped.splitlines()[0] == plain.rstrip("\n")
+
     def test_impossible_degree_is_runtime_error(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--scenario", "random", "--phi", "60", "--degree", "40",
@@ -189,6 +211,17 @@ class TestSweep:
         assert key in err
         assert not (tmp_path / "cells.csv").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, capsys, tmp_path, workers):
+        code, _, err = run_cli(
+            capsys, "sweep", "--scenario", "unbiased", "--phi", "75", "--degrees", "2",
+            "--runs", "1", "--seed", "9", "--n", "64", "--max-iters", "50",
+            "--workers", workers, "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert "workers" in err
+        assert not (tmp_path / "cells.csv").exists()
+
     def test_list_value_beyond_csv_digits_is_usage_error(self, capsys, tmp_path):
         # 60.0000000001 would print as 60 but seed differently from 60.
         code, _, err = run_cli(
@@ -207,6 +240,30 @@ class TestSweep:
         assert code == 0
         runs = list(csv.reader(open(tmp_path / "runs.csv")))
         assert [r[1] for r in runs[1:]] == ["60.3", "90"]
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("command, grid", [
+        ("run", ("--degree", "2")),
+        ("sweep", ("--degrees", "2", "--runs", "1", "--workers", "1")),
+    ])
+    def test_seed_beyond_64_bits_is_usage_error(self, capsys, tmp_path, command, grid):
+        # mix_seed keeps the low 64 bits, so 2**64 would replay seed 0.
+        code, out, err = run_cli(
+            capsys, command, "--scenario", "unbiased", "--phi", "75", *grid,
+            "--seed", str(2**64), "--n", "64", "--max-iters", "50",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert "seed" in err
+        assert out == ""
+
+    def test_largest_seed_accepted(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "run", "--scenario", "unbiased", "--phi", "75", "--degree", "2",
+            "--seed", str(2**64 - 1), "--n", "64", "--max-iters", "50",
+        )
+        assert code == 0
 
 
 class TestReplay:

@@ -5,6 +5,7 @@ digits, independently of the package's log-odds evaluation path.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -266,6 +267,74 @@ class TestProductionRule:
     def test_rejects_bad_angle(self):
         with pytest.raises(ValueError):
             production_rule(30.0, 0.0)
+
+
+def reference_sigmoid(x):
+    """Two-mask sigmoid: each sign exponentiates only its own elements."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    e = np.exp(-x[pos])
+    out[pos] = 1.0 - e / (1.0 + e)
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_clog_kernel(m, tau, beta):
+    """Log-odds clog on the interior only; 0 and 1 are copied through."""
+    out = np.array(m, copy=True)
+    interior = (m > 0.0) & (m < 1.0)
+    mi = m[interior]
+    bi = beta[interior] if np.ndim(beta) else beta
+    L = np.log(mi / (1.0 - mi)) + (2.0 * mi - 1.0 - 2.0 * bi) / tau
+    out[interior] = reference_sigmoid(L)
+    return out
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+# Exact endpoints, values within 1e-12 of 1 and subnormals, beside the bulk.
+kernel_probs = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    probs,
+    st.floats(min_value=1.0 - 1e-12, max_value=1.0),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308, allow_subnormal=True),
+)
+kernel_angles = st.one_of(angles_clog, st.just(89.9999))
+
+
+class TestKernelReference:
+    @given(phi=kernel_angles, m=st.lists(kernel_probs, min_size=1, max_size=64),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_masked_kernel(self, phi, m, data):
+        m = np.array(m)
+        beta = data.draw(biases)
+        betas = np.array(data.draw(st.lists(biases, min_size=m.size, max_size=m.size)))
+        tau = phi_to_tau(phi, "clog")
+        expected = reference_clog_kernel(m, tau, beta)
+        assert same_bits(production_rule(phi, beta)(m), expected)
+        assert same_bits(production_rule(phi, betas)(m), reference_clog_kernel(m, tau, betas))
+        assert same_bits(clog_eval(m, DecisionParams(phi, beta)), expected)
+        assert same_bits(clog_eval(float(m[0]), DecisionParams(phi, beta)), expected[0])
+        tau_l = phi_to_tau(phi, "logistic")
+        assert same_bits(
+            logistic_eval(m, DecisionParams(phi, beta)),
+            reference_sigmoid((2.0 * m - 1.0 - 2.0 * beta) / tau_l),
+        )
+
+    def test_endpoints_raise_no_warning(self):
+        m = np.array([0.0, 1.0, 0.0, 1.0])
+        betas = np.array([-0.4, -0.4, 0.4, 0.4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for phi in (46.0, 60.0, 89.9999):
+                assert np.array_equal(production_rule(phi, betas)(m), m)
+                assert np.array_equal(clog_eval(m, DecisionParams(phi, 0.2)), m)
+                assert clog_eval(0.0, DecisionParams(phi, -0.2)) == 0.0
+                assert clog_eval(1.0, DecisionParams(phi, -0.2)) == 1.0
 
 
 class TestFixedPoints:

@@ -98,6 +98,14 @@ class TestParseSweep:
         with pytest.raises(ConfigError, match="seed"):
             parse_sweep_config({"scenario": "random", "phi": "60", "seed": "-3"})
 
+    def test_seed_beyond_64_bits(self):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_sweep_config({"scenario": "random", "phi": "60", "seed": str(2**64)})
+        with pytest.raises(ConfigError, match="seed"):
+            parse_run_config(
+                {"scenario": "nearby", "phi": "90", "degree": "3", "seed": str(2**64)}
+            )
+
 
 class TestParseRun:
     def test_basic(self):

@@ -107,6 +107,12 @@ class TestExecuteSweep:
         assert cells1 == cells2
         assert recs1 == recs2
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        spec = small_spec(runs=1, max_iters=50)
+        with pytest.raises(ValueError, match="workers"):
+            execute_sweep(spec, workers=workers)
+
     def test_records_in_grid_order(self):
         spec = small_spec(kind="unbiased", phi_list=(75.0, 80.0), degree_list=(2, 3),
                           runs=2, max_iters=500)
@@ -139,6 +145,13 @@ class TestExecuteSweep:
                 runs_per_cell=1,
                 master_seed=0,
             )
+
+    def test_seed_outside_64_bits_rejected(self):
+        # mix_seed keeps the low 64 bits, so 2**64 would alias seed 0.
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                small_spec(seed=seed)
+        assert small_spec(seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 class TestAggregateCells:
