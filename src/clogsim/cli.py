@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--runs", default=None, help="runs per (phi, degree) cell")
     p_sweep.add_argument("--config", default=None, help="key=value file; flags override it")
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: all cores)")
+                         help="worker processes (default and maximum: all cores)")
     p_sweep.add_argument("--out-dir", default=".")
     return parser
 
@@ -221,7 +221,11 @@ def _cmd_sweep(args) -> int:
         "regen_limit": args.regen_limit,
     })
     spec = parse_sweep_config(pairs)
-    cells, records = montecarlo.execute_sweep(spec, workers=args.workers)
+    workers = montecarlo.worker_count(args.workers)
+    if args.workers is not None and workers < args.workers:
+        print(f"note: --workers {args.workers} exceeds the {workers} cores; using {workers}",
+              file=sys.stderr)
+    cells, records = montecarlo.execute_sweep(spec, workers=workers)
     cells_path, runs_path = write_sweep_outputs(cells, records, spec.scenario.kind, args.out_dir)
 
     total = len(records)

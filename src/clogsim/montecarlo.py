@@ -28,6 +28,7 @@ __all__ = [
     "prepare_run",
     "execute_run",
     "execute_sweep",
+    "worker_count",
     "empirical_degree_pmf",
     "conditional_degree_distribution",
     "DESK_PHI_LIST",
@@ -210,12 +211,23 @@ def _worker_run(coords) -> RunRecord:
     return execute_run(_WORKER_SPEC, phi_deg, degree, run_index)
 
 
+def worker_count(workers: int | None) -> int:
+    """Worker processes for a sweep: all cores by default, never more."""
+    cores = os.cpu_count() or 1
+    if workers is None:
+        return cores
+    if workers < 1:
+        raise ValueError(f"workers: must be at least 1, got {workers}")
+    return min(workers, cores)
+
+
 def execute_sweep(spec: SweepSpec, workers: int | None = None):
     """Execute the full grid; returns (cells, records).
 
-    Runs are independent and may execute on any number of workers; records
-    are kept in grid order, so aggregation (and any file written from it)
-    is identical regardless of scheduling.
+    Runs are independent and may execute on any number of workers (at
+    most one per core and one per run); records are kept in grid order,
+    so aggregation (and any file written from it) is identical regardless
+    of scheduling.
     """
     tasks = [
         (float(phi), int(d), i)
@@ -223,11 +235,7 @@ def execute_sweep(spec: SweepSpec, workers: int | None = None):
         for d in spec.degree_list
         for i in range(spec.runs_per_cell)
     ]
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"workers: must be at least 1, got {workers}")
-    workers = min(workers, len(tasks))
+    workers = min(worker_count(workers), len(tasks))
 
     if workers == 1:
         records = [execute_run(spec, *coords) for coords in tasks]

@@ -222,6 +222,20 @@ class TestSweep:
         assert "workers" in err
         assert not (tmp_path / "cells.csv").exists()
 
+    @pytest.mark.parametrize("workers, note", [
+        ("5000", "note: --workers 5000 exceeds the 3 cores; using 3\n"),
+        ("3", ""),
+    ])
+    def test_workers_beyond_cores_noted(self, capsys, tmp_path, serial_pool, workers, note):
+        code, _, err = run_cli(
+            capsys, "sweep", "--scenario", "unbiased", "--phi", "75,80", "--degrees", "2,3",
+            "--runs", "2", "--seed", "9", "--n", "64", "--max-iters", "50",
+            "--workers", workers, "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert err == note
+        assert serial_pool == [3]
+
     def test_list_value_beyond_csv_digits_is_usage_error(self, capsys, tmp_path):
         # 60.0000000001 would print as 60 but seed differently from 60.
         code, _, err = run_cli(

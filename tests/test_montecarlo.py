@@ -11,6 +11,7 @@ from clogsim.montecarlo import (
     execute_run,
     execute_sweep,
     mix_seed,
+    worker_count,
 )
 from clogsim.scenarios import ScenarioConfig
 
@@ -112,6 +113,23 @@ class TestExecuteSweep:
         spec = small_spec(runs=1, max_iters=50)
         with pytest.raises(ValueError, match="workers"):
             execute_sweep(spec, workers=workers)
+
+    def test_workers_clamped_to_cores(self, serial_pool):
+        spec = small_spec(kind="random", phi_list=(60.0, 90.0), degree_list=(2, 3),
+                          runs=2, max_iters=300)
+        result = execute_sweep(spec, workers=5000)
+        assert serial_pool == [3]
+        assert result == execute_sweep(spec, workers=1)
+
+    def test_workers_clamped_to_runs(self, serial_pool):
+        execute_sweep(small_spec(runs=2, max_iters=50), workers=3)
+        assert serial_pool == [2]
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        assert [worker_count(w) for w in (None, 1, 3, 4, 5000)] == [3, 1, 3, 3, 3]
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert worker_count(None) == 1
 
     def test_records_in_grid_order(self):
         spec = small_spec(kind="unbiased", phi_list=(75.0, 80.0), degree_list=(2, 3),

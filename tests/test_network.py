@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clogsim.network import (
+    Network,
     _is_connected,
     bfs_distances,
     edge_array,
@@ -31,16 +32,59 @@ class TestFromEdges:
         assert net.edge_count == 3
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^self loop at node 0$"):
             from_edges(3, [(0, 0)])
 
     def test_rejects_parallel_edge(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^parallel edge \(1, 0\)$"):
             from_edges(3, [(0, 1), (1, 0)])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge \(0, 3\) out of range for n=3$"):
             from_edges(3, [(0, 3)])
+        with pytest.raises(ValueError, match=r"^edge \(-1, 2\) out of range for n=3$"):
+            from_edges(3, [(-1, 2)])
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (2, 2), (0, 9), (1, 0)], r"^self loop at node 2$"),
+        ([(0, 1), (1, 0), (2, 2), (0, 9)], r"^parallel edge \(1, 0\)$"),
+        ([(0, 1), (0, 9), (1, 0), (2, 2)], r"^edge \(0, 9\) out of range for n=4$"),
+        # (0, 6) shares the key 0 * 4 + 6 with (1, 2); before or after (2, 1)
+        # it is reported as out of range, never as or by a parallel edge.
+        ([(0, 1), (0, 6), (2, 1)], r"^edge \(0, 6\) out of range for n=4$"),
+        ([(0, 1), (2, 1), (0, 6)], r"^edge \(0, 6\) out of range for n=4$"),
+        ([(7, 7), (0, 1)], r"^edge \(7, 7\) out of range for n=4$"),
+    ])
+    def test_first_bad_edge_in_input_order_wins(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            from_edges(4, edges)
+
+    def test_array_input_matches_pairs(self):
+        pairs = [(3, 1), (0, 2), (1, 0), (2, 3), (1, 2)]
+        net = from_edges(4, np.array(pairs))
+        ref = from_edges(4, iter(pairs))
+        for field in ("indptr", "indices", "degrees"):
+            assert np.array_equal(getattr(net, field), getattr(ref, field))
+            assert getattr(net, field).dtype == np.int64
+        assert net.neighbors(1).tolist() == [0, 2, 3]
+
+    @pytest.mark.parametrize("edges", [[], np.empty((0, 2), dtype=np.int64)])
+    def test_empty_edge_list(self, edges):
+        net = from_edges(3, edges)
+        assert net.indptr.tolist() == [0, 0, 0, 0]
+        assert net.degrees.tolist() == [0, 0, 0]
+        assert net.indices.size == 0 and net.indices.dtype == np.int64
+        assert net.edge_count == 0
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (0.5, 2)], [(0, 2**63)], [(0, 2**70)]])
+    def test_rejects_ids_beyond_int64_integers(self, edges):
+        # Truncating 0.5 to 0 or wrapping 2**70 would make an edge silently.
+        with pytest.raises(ValueError, match="must be int64 integers"):
+            from_edges(3, edges)
+
+    def test_rejects_non_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            from_edges(3, [(0, 1, 2)])
 
     def test_edge_array_roundtrip(self):
         net = triangle()
@@ -103,6 +147,64 @@ class TestGeneratePA:
             generate_pa_network(2, 2, rng)
         with pytest.raises(ValueError):
             generate_pa_network(10, 0, rng)
+
+
+def reference_pa_network(n, attach_count, rng):
+    """Scalar growth: one ``rng.integers`` call per target, a Python-set
+    ``from_edges``.  Returns the network and the number of draws."""
+    seed_size = attach_count + 1
+    edges = [(i, j) for i in range(seed_size) for j in range(i + 1, seed_size)]
+    repeated = [i for i in range(seed_size) for _ in range(attach_count)]
+    draws = 0
+    for new in range(seed_size, n):
+        targets = set()
+        while len(targets) < attach_count:
+            targets.add(repeated[rng.integers(len(repeated))])
+            draws += 1
+        for t in sorted(targets):
+            edges.append((new, t))
+            repeated.append(t)
+        repeated.extend([new] * attach_count)
+
+    keys = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    assert len(keys) == len(edges)
+    e = np.array(keys, dtype=np.int64)
+    src = np.concatenate([e[:, 0], e[:, 1]])
+    dst = np.concatenate([e[:, 1], e[:, 0]])
+    order = np.lexsort((dst, src))
+    degrees = np.bincount(src, minlength=n).astype(np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    return Network(n=n, indptr=indptr, indices=dst[order], degrees=degrees), draws
+
+
+def assert_same_growth(n, attach_count, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    net = generate_pa_network(n, attach_count, rng)
+    ref, draws = reference_pa_network(n, attach_count, ref_rng)
+    for field in ("indptr", "indices", "degrees"):
+        got, want = getattr(net, field), getattr(ref, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want), field
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return draws
+
+
+class TestBatchedGrowthMatchesReference:
+    @given(attach=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_same_network_and_stream(self, attach, data, seed):
+        assert_same_growth(data.draw(st.integers(attach + 1, 128)), attach, seed)
+
+    def test_duplicate_replay(self):
+        # The reference run at this seed redraws a duplicate at seven nodes,
+        # 15 and 16 among them, so one replay starts right after another.
+        draws = assert_same_growth(256, 2, 20260810)
+        assert draws > 2 * (256 - 3)
+
+    def test_later_batches(self):
+        # Growth spans many batches of draws.
+        for seed in range(3):
+            assert_same_growth(700, 2, seed)
 
 
 class TestBfsDistances:
