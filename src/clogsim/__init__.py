@@ -19,14 +19,7 @@ from .decision import (
     phi_to_tau,
     tabulate_curve,
 )
-from .dynamics import (
-    RunOutcome,
-    SimState,
-    init_state,
-    run_to_completion,
-    simulate_run,
-    step,
-)
+from .dynamics import RunOutcome, run_to_completion, simulate_run
 from .montecarlo import (
     CellResult,
     RunRecord,
@@ -68,10 +61,7 @@ __all__ = [
     "generate_pa_network",
     "bfs_distances",
     "find_node_with_degree",
-    "SimState",
     "RunOutcome",
-    "init_state",
-    "step",
     "simulate_run",
     "run_to_completion",
     "ScenarioConfig",

@@ -17,13 +17,15 @@ from .decision import (
     DecisionParams,
     FixedPointContinuum,
     find_fixed_points,
+    phi_to_tau,
     tabulate_curve,
 )
 from .dynamics import outcome_label, simulate_run
 from .io_config import (
+    RUN_KEYS,
+    SWEEP_KEYS,
     ConfigError,
     RunArtifacts,
-    merge_pairs,
     parse_run_config,
     parse_sweep_config,
     read_config_file,
@@ -127,7 +129,17 @@ def _emit_csv(out, header, rows) -> None:
         write_csv(out, header, rows)
 
 
+def _flag_pairs(args, keys) -> dict:
+    """The config pairs of the flags given among ``keys``."""
+    return {key: value for key in keys if (value := getattr(args, key)) is not None}
+
+
 def _cmd_fn(args) -> int:
+    # The angle's range depends on the family; check it here to name the flag.
+    try:
+        phi_to_tau(args.phi, args.family)
+    except ValueError as e:
+        raise UsageError(f"phi: {e}") from None
     params = DecisionParams(phi_deg=args.phi, beta=args.beta)
     if args.fixed_points:
         result = find_fixed_points(args.family, params)
@@ -140,6 +152,8 @@ def _cmd_fn(args) -> int:
             ]
         _emit_csv(args.out, ("location", "stability", "derivative"), rows)
     else:
+        if args.points < 2:
+            raise UsageError(f"points: must be at least 2, got {args.points}")
         table = tabulate_curve(args.family, params, args.points)
         rows = [(f"{m:.9g}", f"{v:.9g}") for m, v in table]
         _emit_csv(args.out, ("m", "f_m"), rows)
@@ -162,13 +176,7 @@ def _cmd_net(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    pairs = merge_pairs({}, {
-        "scenario": args.scenario, "phi": args.phi, "degree": args.degree,
-        "seed": args.seed, "n": args.n, "attach": args.attach,
-        "alpha": args.alpha, "max_iters": args.max_iters,
-        "regen_limit": args.regen_limit, "run_index": args.run_index,
-    })
-    config, seed, regen_limit, run_index = parse_run_config(pairs)
+    config, seed, regen_limit, run_index = parse_run_config(_flag_pairs(args, RUN_KEYS))
     degree = config.innovator_degree
 
     # The sweep's own per-run draws, so any sweep run can be replayed in
@@ -181,7 +189,7 @@ def _cmd_run(args) -> int:
             f"no node of degree {degree} in {regen_limit} generated networks"
         )
     trace: list[float] | None = [] if args.dump_trajectory else None
-    outcome, final = simulate_run(
+    outcome, m_final = simulate_run(
         net, innovator, config.phi_deg, beta, rng,
         alpha=config.alpha, max_iters=config.max_iters, mbar_trace=trace,
     )
@@ -200,7 +208,7 @@ def _cmd_run(args) -> int:
         if args.dump_nodes:
             dist = bfs_distances(net, innovator)
             rows = [
-                (i, int(net.degrees[i]), float(beta[i]), int(dist[i]), float(final.m[i]))
+                (i, int(net.degrees[i]), float(beta[i]), int(dist[i]), float(m_final[i]))
                 for i in range(net.n)
             ]
             write_csv(artifacts.nodes_path,
@@ -214,13 +222,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     file_pairs = read_config_file(args.config) if args.config else {}
-    pairs = merge_pairs(file_pairs, {
-        "scenario": args.scenario, "phi": args.phi, "degrees": args.degrees,
-        "runs": args.runs, "seed": args.seed, "n": args.n, "attach": args.attach,
-        "alpha": args.alpha, "max_iters": args.max_iters,
-        "regen_limit": args.regen_limit,
-    })
-    spec = parse_sweep_config(pairs)
+    spec = parse_sweep_config({**file_pairs, **_flag_pairs(args, SWEEP_KEYS)})
     workers = montecarlo.worker_count(args.workers)
     if args.workers is not None and workers < args.workers:
         print(f"note: --workers {args.workers} exceeds the {workers} cores; using {workers}",

@@ -39,12 +39,9 @@ __all__ = [
     "CONSENSUS_ZERO",
     "CONSENSUS_ONE",
     "MAX_ITERATIONS",
-    "SimState",
     "RunOutcome",
     "classify_outcome",
     "outcome_label",
-    "init_state",
-    "step",
     "simulate_run",
     "run_to_completion",
 ]
@@ -60,18 +57,6 @@ DEFAULT_MAX_ITERS = 10_000
 CONSENSUS_ZERO = "consensus_zero"
 CONSENSUS_ONE = "consensus_one"
 MAX_ITERATIONS = "max_iterations"
-
-
-@dataclass
-class SimState:
-    """Mental states, last emitted signals, and the cycle counter.
-
-    ``s`` is None until the first cycle has produced signals.
-    """
-
-    m: np.ndarray
-    s: np.ndarray | None
-    t: int
 
 
 @dataclass(frozen=True)
@@ -107,23 +92,13 @@ def outcome_label(outcome) -> str:
     return "extinction"
 
 
-def _check_net(net: Network) -> None:
-    if net.n == 0 or int(net.degrees.min()) < 1:
-        raise ValueError("simulation requires every node to have at least one neighbor")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-
-
-def init_state(net: Network, innovator: int) -> SimState:
+def _initial_state(n: int, innovator: int) -> np.ndarray:
     """All-incumbent population except a single fully convinced innovator."""
-    if not 0 <= innovator < net.n:
-        raise ValueError(f"innovator {innovator!r} out of range for n={net.n}")
-    m = np.zeros(net.n, dtype=np.float64)
+    if not 0 <= innovator < n:
+        raise ValueError(f"innovator {innovator!r} out of range for n={n}")
+    m = np.zeros(n, dtype=np.float64)
     m[innovator] = 1.0
-    return SimState(m=m, s=None, t=0)
+    return m
 
 
 def _cycle(m, rule, indptr, indices, inv_deg, alpha, rng):
@@ -132,29 +107,6 @@ def _cycle(m, rule, indptr, indices, inv_deg, alpha, rng):
     s = rng.random(m.size) < p
     inp = np.add.reduceat(s[indices].astype(np.float64), indptr[:-1]) * inv_deg
     return alpha * inp + (1.0 - alpha) * m, s, p
-
-
-def step(
-    state: SimState,
-    net: Network,
-    phi_deg: float,
-    beta,
-    alpha: float,
-    rng: np.random.Generator,
-) -> SimState:
-    """One synchronous production/update cycle; returns the next state.
-
-    ``beta`` is a scalar or per-node array; ``phi_deg`` is shared by the
-    population, as in all reported experiments.
-    """
-    _check_net(net)
-    _check_alpha(alpha)
-    if state.m.shape != (net.n,):
-        raise ValueError("state size does not match network size")
-    rule = production_rule(phi_deg, beta)
-    inv_deg = 1.0 / net.degrees.astype(np.float64)
-    m, s, _ = _cycle(state.m, rule, net.indptr, net.indices, inv_deg, alpha, rng)
-    return SimState(m=m, s=s.astype(np.uint8), t=state.t + 1)
 
 
 def simulate_run(
@@ -167,8 +119,10 @@ def simulate_run(
     alpha: float = DEFAULT_ALPHA,
     max_iters: int = DEFAULT_MAX_ITERS,
     mbar_trace: list | None = None,
-) -> tuple[RunOutcome, SimState]:
+) -> tuple[RunOutcome, np.ndarray]:
     """Run from the standard initial state until consensus or the cap.
+
+    Returns the classified outcome and the final mental states.
 
     If ``mbar_trace`` is a list, the population mean is appended each cycle
     (index = cycle, starting with the initial state at index 0).
@@ -180,13 +134,14 @@ def simulate_run(
     to ``max_iters``; only ``rng`` is not advanced through the skipped
     cycles.
     """
-    _check_net(net)
-    _check_alpha(alpha)
+    if net.n == 0 or int(net.degrees.min()) < 1:
+        raise ValueError("simulation requires every node to have at least one neighbor")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
 
-    state = init_state(net, innovator)
-    m = state.m
+    m = _initial_state(net.n, innovator)
     rule = production_rule(phi_deg, beta)
     inv_deg = 1.0 / net.degrees.astype(np.float64)
     indptr, indices = net.indptr, net.indices
@@ -195,7 +150,6 @@ def simulate_run(
         mbar_trace.append(float(m.mean()))
 
     step_rule = phi_deg == 90.0
-    s = None
     terminated_by = MAX_ITERATIONS
     t = 0
     for t in range(1, max_iters + 1):
@@ -217,8 +171,7 @@ def simulate_run(
             t = max_iters
             break
 
-    final = SimState(m=m, s=None if s is None else s.astype(np.uint8), t=t)
-    return classify_outcome(float(m.mean()), t, terminated_by), final
+    return classify_outcome(float(m.mean()), t, terminated_by), m
 
 
 def run_to_completion(
@@ -231,7 +184,12 @@ def run_to_completion(
     alpha: float = DEFAULT_ALPHA,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> RunOutcome:
-    """Like :func:`simulate_run`, returning only the classified outcome."""
+    """Like :func:`simulate_run`, returning only the classified outcome.
+
+    This is the call ``montecarlo.execute_run`` makes; the ``dynamics.run``
+    span of ``perfbench/spans.py`` wraps ``montecarlo.run_to_completion``
+    to time the sweep's runs.
+    """
     outcome, _ = simulate_run(
         net, innovator, phi_deg, beta, rng, alpha=alpha, max_iters=max_iters
     )

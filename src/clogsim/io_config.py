@@ -32,7 +32,8 @@ __all__ = [
     "ConfigError",
     "RunArtifacts",
     "read_config_file",
-    "merge_pairs",
+    "SWEEP_KEYS",
+    "RUN_KEYS",
     "parse_sweep_config",
     "parse_run_config",
     "format_field",
@@ -87,13 +88,6 @@ def read_config_file(path: str) -> dict:
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
     return pairs
-
-
-def merge_pairs(file_pairs: dict, cli_pairs: dict) -> dict:
-    """Flag values override file values; None flags are ignored."""
-    merged = dict(file_pairs)
-    merged.update({k: v for k, v in cli_pairs.items() if v is not None})
-    return merged
 
 
 def _check_keys(pairs: dict, allowed) -> None:

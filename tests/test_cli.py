@@ -59,6 +59,17 @@ class TestFn:
         assert code == 1
         assert "45" in err
 
+    @pytest.mark.parametrize("argv, key", [
+        (("--phi", "60", "--points", "1"), "points"),
+        (("--phi", "30"), "phi"),
+        (("--phi", "30", "--fixed-points"), "phi"),
+        (("--family", "logistic", "--phi", "95"), "phi"),
+    ])
+    def test_error_names_the_flag(self, capsys, argv, key):
+        code, _, err = run_cli(capsys, "fn", *argv)
+        assert code == 1
+        assert err.startswith(f"error: {key}: ")
+
 
 class TestNet:
     def test_writes_edges_and_nodes(self, capsys, tmp_path):

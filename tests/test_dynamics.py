@@ -1,5 +1,4 @@
 import copy
-import math
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clogsim import dynamics
+from clogsim.decision import production_rule
 from clogsim.dynamics import (
     CONSENSUS_EPS,
     CONSENSUS_ONE,
@@ -14,12 +14,9 @@ from clogsim.dynamics import (
     DEFAULT_ALPHA,
     MAX_ITERATIONS,
     RunOutcome,
-    SimState,
     classify_outcome,
-    init_state,
     run_to_completion,
     simulate_run,
-    step,
 )
 from clogsim.montecarlo import prepare_run
 from clogsim.network import from_edges, generate_pa_network
@@ -35,22 +32,27 @@ def pair():
     return from_edges(2, [(0, 1)])
 
 
+def cycle(m, net, phi_deg, beta, alpha, rng):
+    """One cycle of ``dynamics._cycle``: (next states, signals, probabilities)."""
+    inv_deg = 1.0 / net.degrees.astype(np.float64)
+    return dynamics._cycle(m, production_rule(phi_deg, beta), net.indptr, net.indices,
+                           inv_deg, alpha, rng)
+
+
 class TestInitState:
     def test_single_innovator(self):
-        net = generate_pa_network(32, 2, np.random.default_rng(0))
-        state = init_state(net, 7)
-        assert state.m[7] == 1.0
-        assert state.m.sum() == 1.0
-        assert state.m.mean() == pytest.approx(1 / 32)
-        assert state.s is None and state.t == 0
+        m = dynamics._initial_state(32, 7)
+        assert m[7] == 1.0
+        assert m.sum() == 1.0
+        assert m.mean() == pytest.approx(1 / 32)
 
     def test_triangle(self):
-        net = from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        assert list(init_state(net, 0).m) == [1.0, 0.0, 0.0]
+        assert list(dynamics._initial_state(3, 0)) == [1.0, 0.0, 0.0]
 
     def test_invalid_innovator(self):
-        with pytest.raises(ValueError):
-            init_state(star4(), 4)
+        for bad in (4, -1):
+            with pytest.raises(ValueError, match="innovator"):
+                simulate_run(star4(), bad, 60.0, 0.0, np.random.default_rng(0))
 
 
 class TestStep:
@@ -58,56 +60,42 @@ class TestStep:
         # Hub at m=1 with a categorical rule emits 1 for sure; its three
         # leaves all emit 0, so the hub's new state is 0.9 exactly.
         net = star4()
-        state = init_state(net, 0)
-        out = step(state, net, 90.0, 0.0, 0.1, np.random.default_rng(0))
-        assert out.m[0] == pytest.approx(0.9, abs=0)
-        assert out.s is not None and list(out.s) == [1, 0, 0, 0]
-        assert out.t == 1
+        m, s, _ = cycle(dynamics._initial_state(4, 0), net, 90.0, 0.0, 0.1,
+                        np.random.default_rng(0))
+        assert m[0] == pytest.approx(0.9, abs=0)
+        assert list(s) == [True, False, False, False]
 
     def test_zero_state_absorbing(self):
-        net = star4()
-        state = init_state(net, 0)
-        state.m[:] = 0.0
-        out = step(state, net, 60.0, 0.0, 0.1, np.random.default_rng(1))
-        assert np.all(out.m == 0.0)
+        m, _, _ = cycle(np.zeros(4), star4(), 60.0, 0.0, 0.1, np.random.default_rng(1))
+        assert np.all(m == 0.0)
 
     def test_ones_state_absorbing(self):
-        net = star4()
-        state = init_state(net, 0)
-        state.m[:] = 1.0
-        out = step(state, net, 60.0, 0.0, 0.1, np.random.default_rng(2))
-        assert np.all(out.m == 1.0)
+        m, _, _ = cycle(np.ones(4), star4(), 60.0, 0.0, 0.1, np.random.default_rng(2))
+        assert np.all(m == 1.0)
 
     def test_update_arithmetic(self):
         # m=0.5 with full input and alpha=0.1 moves to 0.55.
-        net = pair()
-        state = init_state(net, 0)
-        state.m[:] = [1.0, 0.5]
-        out = step(state, net, 90.0, 0.0, 0.1, np.random.default_rng(3))
-        assert out.m[1] == pytest.approx(0.55, abs=1e-15)
+        m, _, _ = cycle(np.array([1.0, 0.5]), pair(), 90.0, 0.0, 0.1,
+                        np.random.default_rng(3))
+        assert m[1] == pytest.approx(0.55, abs=1e-15)
 
     def test_synchronous_phases(self):
         # Signals are drawn from pre-update states only: the leader's new
         # state cannot leak into the follower's input within one cycle.
-        net = pair()
-        state = init_state(net, 0)
-        out = step(state, net, 90.0, 0.0, 0.1, np.random.default_rng(4))
-        assert list(out.m) == [0.9, 0.1]
+        m, _, _ = cycle(dynamics._initial_state(2, 0), pair(), 90.0, 0.0, 0.1,
+                        np.random.default_rng(4))
+        assert list(m) == [0.9, 0.1]
 
     def test_leaves_input_unchanged(self):
-        net = star4()
-        state = init_state(net, 0)
-        before = state.m.copy()
-        step(state, net, 60.0, 0.0, 0.1, np.random.default_rng(5))
-        assert np.array_equal(state.m, before)
-        assert state.t == 0
+        m0 = dynamics._initial_state(4, 0)
+        before = m0.copy()
+        cycle(m0, star4(), 60.0, 0.0, 0.1, np.random.default_rng(5))
+        assert np.array_equal(m0, before)
 
     def test_alpha_validation(self):
-        net = pair()
-        state = init_state(net, 0)
         for bad in (0.0, 1.5, -0.1):
-            with pytest.raises(ValueError):
-                step(state, net, 60.0, 0.0, bad, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="alpha"):
+                simulate_run(pair(), 0, 60.0, 0.0, np.random.default_rng(0), alpha=bad)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -119,13 +107,12 @@ class TestStep:
         rng = np.random.default_rng(seed)
         net = generate_pa_network(32, 2, rng)
         beta = rng.uniform(-0.5, 0.5, 32)
-        state = init_state(net, int(rng.integers(32)))
-        state.m[:] = rng.random(32)
+        m = rng.random(32)
         for _ in range(5):
-            prev = state.m.copy()
-            state = step(state, net, phi, beta, alpha, rng)
-            assert np.all(state.m >= 0.0) and np.all(state.m <= 1.0)
-            assert np.all(np.abs(state.m - prev) <= alpha + 1e-15)
+            prev = m
+            m, _, _ = cycle(m, net, phi, beta, alpha, rng)
+            assert np.all(m >= 0.0) and np.all(m <= 1.0)
+            assert np.all(np.abs(m - prev) <= alpha + 1e-15)
 
 
 class TestRunToCompletion:
@@ -148,27 +135,27 @@ class TestRunToCompletion:
         rng = np.random.default_rng(1)
         net = generate_pa_network(64, 2, rng)
         innovator = 3
-        state = init_state(net, innovator)
+        m = dynamics._initial_state(net.n, innovator)
         for t in range(1, 8):
-            state = step(state, net, 90.0, 0.0, 0.1, rng)
+            m, _, _ = cycle(m, net, 90.0, 0.0, 0.1, rng)
             cap = (1.0 - 0.9**t)
             for j in net.neighbors(innovator):
-                assert state.m[j] <= cap / net.degrees[j] + 1e-12
-        assert all(state.m[j] < 0.5 for j in net.neighbors(innovator))
+                assert m[j] <= cap / net.degrees[j] + 1e-12
+        assert all(m[j] < 0.5 for j in net.neighbors(innovator))
 
     def test_all_ones_closes_at_consensus_one(self):
-        rng = np.random.default_rng(2)
-        net = star4()
-        # Start everyone convinced except the innovator convention: seed
-        # by hand to check the upper consensus exit.
-        outcome, final = simulate_run(net, 0, 60.0, -0.4, rng, max_iters=500)
-        # 0.4-biased everyone and a hub innovator: tiny net, conversion is
-        # typical; whatever happens the invariants below must hold.
-        assert outcome.t_final <= 500
-        assert outcome.terminated_by in (CONSENSUS_ZERO, CONSENSUS_ONE, MAX_ITERATIONS)
-        if outcome.terminated_by == CONSENSUS_ONE:
-            assert np.all(final.m > 1 - 1e-8)
-            assert outcome.completion
+        # Fully deterministic: at phi = 90 with beta = -0.5 the threshold
+        # sits at 0, where the rule keeps the value 0, so exactly the nodes
+        # with m > 0 emit 1.  The hub innovator converts its leaves in the
+        # first cycle; from then on every 1 - m_i shrinks by 0.9 per cycle,
+        # the leaves' last, from 0.9 after cycle 1, and 0.9^175 < 1e-8 <
+        # 0.9^174.
+        outcome, m_final = simulate_run(star4(), 0, 90.0, -0.5, np.random.default_rng(2),
+                                        max_iters=500)
+        assert outcome.terminated_by == CONSENSUS_ONE
+        assert outcome.t_final == 175
+        assert np.all(m_final > 1 - 1e-8)
+        assert outcome.completion
 
     def test_max_iters_cap(self):
         rng = np.random.default_rng(3)
@@ -188,11 +175,11 @@ class TestRunToCompletion:
         rng = np.random.default_rng(6)
         net = generate_pa_network(32, 2, rng)
         trace: list[float] = []
-        outcome, final = simulate_run(net, 0, 90.0, np.zeros(32), rng, mbar_trace=trace)
+        outcome, m_final = simulate_run(net, 0, 90.0, np.zeros(32), rng, mbar_trace=trace)
         assert len(trace) == outcome.t_final + 1
         assert trace[0] == pytest.approx(1 / 32)
         assert trace[-1] == pytest.approx(outcome.mbar_final)
-        assert final.t == outcome.t_final
+        assert float(m_final.mean()) == outcome.mbar_final
 
     def test_rejects_isolated_nodes(self):
         net = from_edges(3, [(0, 1)])  # node 2 isolated
@@ -200,39 +187,58 @@ class TestRunToCompletion:
             run_to_completion(net, 0, 60.0, 0.0, np.random.default_rng(0))
 
 
-def step_loop(net, innovator, phi_deg, beta, rng, max_iters, alpha=DEFAULT_ALPHA):
-    """Reference run: plain step() cycles until consensus or the cap."""
-    state = dynamics.init_state(net, innovator)
-    trace = [float(state.m.mean())]
+def reference_run(net, m0, phi_deg, beta, rng, max_iters, alpha=DEFAULT_ALPHA):
+    """Reference run written from the update rule, without the absorbing exit.
+
+    Each cycle draws every signal, sums each node's neighbour signals
+    through a dense adjacency matrix and scales the sum by ``1.0/deg``.
+    Sums of 0/1 signals are exact in any order, so the states round as
+    the CSR ``reduceat`` times ``1/deg`` of ``simulate_run`` does.
+    Returns the final states, the cycle count, the exit and the mean trace.
+    """
+    adj = np.zeros((net.n, net.n))
+    for i in range(net.n):
+        adj[i, net.neighbors(i)] = 1.0
+    inv_deg = 1.0 / adj.sum(axis=1)
+    rule = production_rule(phi_deg, beta)
+    m = m0.copy()
+    trace = [float(m.mean())]
     terminated_by = MAX_ITERATIONS
-    while state.t < max_iters:
-        state = step(state, net, phi_deg, beta, alpha, rng)
-        trace.append(float(state.m.mean()))
-        if state.m.max() < CONSENSUS_EPS:
+    t = 0
+    while t < max_iters:
+        s = (rng.random(net.n) < rule(m)).astype(np.float64)
+        m = alpha * ((adj @ s) * inv_deg) + (1.0 - alpha) * m
+        t += 1
+        trace.append(float(m.mean()))
+        if m.max() < CONSENSUS_EPS:
             terminated_by = CONSENSUS_ZERO
             break
-        if state.m.min() > 1.0 - CONSENSUS_EPS:
+        if m.min() > 1.0 - CONSENSUS_EPS:
             terminated_by = CONSENSUS_ONE
             break
-    return state, terminated_by, trace
+    return m, t, terminated_by, trace
 
 
-def assert_same_run(net, innovator, phi_deg, beta, rng, max_iters, alpha=DEFAULT_ALPHA):
-    """simulate_run equals step_loop bit for bit.
+def assert_same_run(net, innovator, phi_deg, beta, rng, max_iters, alpha=DEFAULT_ALPHA,
+                    start=None):
+    """simulate_run equals reference_run bit for bit.
 
-    Returns the outcome and whether simulate_run skipped draws.
+    ``start`` is the initial state when a test replaces the single
+    innovator.  Returns the outcome and whether simulate_run skipped draws.
     """
+    if start is None:
+        start = np.zeros(net.n)
+        start[innovator] = 1.0
     ref_rng = copy.deepcopy(rng)
     trace: list[float] = []
-    outcome, final = simulate_run(net, innovator, phi_deg, beta, rng, alpha=alpha,
-                                  max_iters=max_iters, mbar_trace=trace)
-    ref, ref_terminated_by, ref_trace = step_loop(net, innovator, phi_deg, beta, ref_rng,
-                                                  max_iters, alpha)
-    assert np.array_equal(final.m, ref.m)
-    assert np.array_equal(final.s, ref.s)
-    assert (final.t, outcome.t_final) == (ref.t, ref.t)
+    outcome, m_final = simulate_run(net, innovator, phi_deg, beta, rng, alpha=alpha,
+                                    max_iters=max_iters, mbar_trace=trace)
+    ref_m, ref_t, ref_terminated_by, ref_trace = reference_run(
+        net, start, phi_deg, beta, ref_rng, max_iters, alpha)
+    assert np.array_equal(m_final, ref_m)
+    assert outcome.t_final == ref_t
     assert outcome.terminated_by == ref_terminated_by
-    assert outcome.mbar_final == float(ref.m.mean())
+    assert outcome.mbar_final == float(ref_m.mean())
     assert trace == ref_trace
     return outcome, rng.bit_generator.state != ref_rng.bit_generator.state
 
@@ -256,13 +262,11 @@ class TestAbsorbingExit:
         net = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         beta = np.array([0.0, 0.0, 0.0, 0.2, 0.0])
         start = np.array([1.0, 1.0, 0.5, 0.5, 0.0])
-        monkeypatch.setattr(dynamics, "init_state",
-                            lambda net, innovator: SimState(m=start.copy(), s=None, t=0))
+        monkeypatch.setattr(dynamics, "_initial_state", lambda n, innovator: start.copy())
         rng = np.random.default_rng(0)
-        first = step(dynamics.init_state(net, 0), net, 90.0, beta, DEFAULT_ALPHA,
-                     copy.deepcopy(rng))
-        assert np.array_equal(first.m, start)
-        _, skipped = assert_same_run(net, 0, 90.0, beta, rng, 40)
+        first, _, _ = cycle(start.copy(), net, 90.0, beta, DEFAULT_ALPHA, copy.deepcopy(rng))
+        assert np.array_equal(first, start)
+        _, skipped = assert_same_run(net, 0, 90.0, beta, rng, 40, start=start)
         assert not skipped
 
     def test_interior_angle_never_exits(self):

@@ -10,7 +10,6 @@ from clogsim.io_config import (
     ConfigError,
     RunArtifacts,
     format_field,
-    merge_pairs,
     parse_run_config,
     parse_sweep_config,
     read_config_file,
@@ -132,7 +131,7 @@ class TestConfigFile:
     def test_file_and_override(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("# comment\nscenario=hubs\nphi=80\nruns=10  # trailing\n")
-        pairs = merge_pairs(read_config_file(str(cfg)), {"phi": "85", "seed": "3"})
+        pairs = {**read_config_file(str(cfg)), "phi": "85", "seed": "3"}
         spec = parse_sweep_config(pairs)
         assert spec.scenario.kind == "hubs"
         assert spec.phi_list == (85.0,)  # flag wins over file
