@@ -20,12 +20,11 @@ from .decision import (
     phi_to_tau,
     tabulate_curve,
 )
-from .dynamics import outcome_label, simulate_run
+from .dynamics import simulate_run
 from .io_config import (
     RUN_KEYS,
     SWEEP_KEYS,
     ConfigError,
-    RunArtifacts,
     parse_run_config,
     parse_sweep_config,
     read_config_file,
@@ -140,7 +139,10 @@ def _cmd_fn(args) -> int:
         phi_to_tau(args.phi, args.family)
     except ValueError as e:
         raise UsageError(f"phi: {e}") from None
-    params = DecisionParams(phi_deg=args.phi, beta=args.beta)
+    try:
+        params = DecisionParams(phi_deg=args.phi, beta=args.beta)
+    except ValueError as e:
+        raise UsageError(f"beta: {e}") from None
     if args.fixed_points:
         result = find_fixed_points(args.family, params)
         if isinstance(result, FixedPointContinuum):
@@ -163,15 +165,19 @@ def _cmd_fn(args) -> int:
 def _cmd_net(args) -> int:
     if args.seed < 0:
         raise UsageError(f"seed: must be non-negative, got {args.seed}")
+    if args.attach < 1:
+        raise UsageError(f"attach: must be at least 1, got {args.attach}")
+    if args.n <= args.attach:
+        raise UsageError(f"n: must exceed attach ({args.attach}), got {args.n}")
     rng = np.random.default_rng(args.seed)
     net = generate_pa_network(args.n, args.attach, rng)
     os.makedirs(args.out_dir, exist_ok=True)
-    artifacts = RunArtifacts.in_dir(args.out_dir)
-    write_csv(artifacts.edges_path, ("src", "dst"), edge_array(net).tolist())
-    write_csv(artifacts.nodes_path, ("id", "degree"),
-              [(i, int(d)) for i, d in enumerate(net.degrees)])
+    edges_path = os.path.join(args.out_dir, "edges.csv")
+    nodes_path = os.path.join(args.out_dir, "nodes.csv")
+    write_csv(edges_path, ("src", "dst"), edge_array(net).tolist())
+    write_csv(nodes_path, ("id", "degree"), [(i, int(d)) for i, d in enumerate(net.degrees)])
     print(f"n={net.n} edges={net.edge_count} max_degree={int(net.degrees.max())} "
-          f"wrote {artifacts.edges_path} {artifacts.nodes_path}")
+          f"wrote {edges_path} {nodes_path}")
     return 0
 
 
@@ -194,29 +200,26 @@ def _cmd_run(args) -> int:
         alpha=config.alpha, max_iters=config.max_iters, mbar_trace=trace,
     )
 
-    print(f"outcome={outcome_label(outcome)} mbar_final={outcome.mbar_final:.9g} "
+    print(f"outcome={outcome.outcome_label} mbar_final={outcome.mbar_final:.9g} "
           f"t_final={outcome.t_final} terminated_by={outcome.terminated_by} "
           f"innovator={innovator} degree={degree} networks_tried={attempts}")
 
-    if args.dump_trajectory or args.dump_nodes or args.dump_edges:
+    def dump(name, header, rows):
         os.makedirs(args.out_dir, exist_ok=True)
-        artifacts = RunArtifacts.in_dir(args.out_dir)
-        if args.dump_trajectory:
-            write_csv(artifacts.trajectory_path, ("t", "mbar"),
-                      [(t, float(v)) for t, v in enumerate(trace)])
-            print(f"wrote {artifacts.trajectory_path}")
-        if args.dump_nodes:
-            dist = bfs_distances(net, innovator)
-            rows = [
-                (i, int(net.degrees[i]), float(beta[i]), int(dist[i]), float(m_final[i]))
-                for i in range(net.n)
-            ]
-            write_csv(artifacts.nodes_path,
-                      ("id", "degree", "beta", "distance", "m_final"), rows)
-            print(f"wrote {artifacts.nodes_path}")
-        if args.dump_edges:
-            write_csv(artifacts.edges_path, ("src", "dst"), edge_array(net).tolist())
-            print(f"wrote {artifacts.edges_path}")
+        path = os.path.join(args.out_dir, name)
+        write_csv(path, header, rows)
+        print(f"wrote {path}")
+
+    if args.dump_trajectory:
+        dump("trajectory.csv", ("t", "mbar"), [(t, float(v)) for t, v in enumerate(trace)])
+    if args.dump_nodes:
+        dist = bfs_distances(net, innovator)
+        dump("nodes.csv", ("id", "degree", "beta", "distance", "m_final"), [
+            (i, int(net.degrees[i]), float(beta[i]), int(dist[i]), float(m_final[i]))
+            for i in range(net.n)
+        ])
+    if args.dump_edges:
+        dump("edges.csv", ("src", "dst"), edge_array(net).tolist())
     return 0
 
 

@@ -40,8 +40,6 @@ __all__ = [
     "CONSENSUS_ONE",
     "MAX_ITERATIONS",
     "RunOutcome",
-    "classify_outcome",
-    "outcome_label",
     "simulate_run",
     "run_to_completion",
 ]
@@ -61,35 +59,35 @@ MAX_ITERATIONS = "max_iterations"
 
 @dataclass(frozen=True)
 class RunOutcome:
+    """How a run ended.  The outcome flags nest and follow from
+    ``mbar_final`` alone; a NaN mean sets none of them."""
+
     mbar_final: float
     t_final: int
     terminated_by: str
-    survival: bool
-    dominance: bool
-    completion: bool
 
+    @property
+    def survival(self) -> bool:
+        return self.mbar_final > SURVIVAL_MIN
 
-def classify_outcome(mbar_final: float, t_final: int, terminated_by: str) -> RunOutcome:
-    """Outcome flags from the final mean mental state (nested thresholds)."""
-    return RunOutcome(
-        mbar_final=float(mbar_final),
-        t_final=int(t_final),
-        terminated_by=terminated_by,
-        survival=mbar_final > SURVIVAL_MIN,
-        dominance=mbar_final >= DOMINANCE_MIN,
-        completion=mbar_final >= COMPLETION_MIN,
-    )
+    @property
+    def dominance(self) -> bool:
+        return self.mbar_final >= DOMINANCE_MIN
 
+    @property
+    def completion(self) -> bool:
+        return self.mbar_final >= COMPLETION_MIN
 
-def outcome_label(outcome) -> str:
-    """The furthest outcome reached, from an object's nested outcome flags."""
-    if outcome.completion:
-        return "completion"
-    if outcome.dominance:
-        return "dominance"
-    if outcome.survival:
-        return "survival"
-    return "extinction"
+    @property
+    def outcome_label(self) -> str:
+        """The furthest outcome reached."""
+        if self.completion:
+            return "completion"
+        if self.dominance:
+            return "dominance"
+        if self.survival:
+            return "survival"
+        return "extinction"
 
 
 def _initial_state(n: int, innovator: int) -> np.ndarray:
@@ -122,7 +120,7 @@ def simulate_run(
 ) -> tuple[RunOutcome, np.ndarray]:
     """Run from the standard initial state until consensus or the cap.
 
-    Returns the classified outcome and the final mental states.
+    Returns the outcome and the final mental states.
 
     If ``mbar_trace`` is a list, the population mean is appended each cycle
     (index = cycle, starting with the initial state at index 0).
@@ -171,7 +169,7 @@ def simulate_run(
             t = max_iters
             break
 
-    return classify_outcome(float(m.mean()), t, terminated_by), m
+    return RunOutcome(float(m.mean()), t, terminated_by), m
 
 
 def run_to_completion(
@@ -184,7 +182,7 @@ def run_to_completion(
     alpha: float = DEFAULT_ALPHA,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> RunOutcome:
-    """Like :func:`simulate_run`, returning only the classified outcome.
+    """Like :func:`simulate_run`, returning only the outcome.
 
     This is the call ``montecarlo.execute_run`` makes; the ``dynamics.run``
     span of ``perfbench/spans.py`` wraps ``montecarlo.run_to_completion``

@@ -2,8 +2,9 @@
 
 Configuration is a flat key=value mapping, either from command-line flags
 or from a plain-text file (one pair per line, ``#`` comments); flags
-override file values.  All validation lives here so every error names the
-offending key.
+override file values.  This module parses the pairs and names the key at
+fault in its errors; ``ScenarioConfig`` and ``SweepSpec`` validate the
+values they are built from, and their errors pass on as ``ConfigError``.
 
 CSV files carry a header row, serialize floats with 9 significant digits,
 and are written atomically (temp file + rename): re-running an identical
@@ -16,7 +17,7 @@ import csv
 import math
 import os
 import tempfile
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, fields
 
 from .montecarlo import (
     DEFAULT_REGEN_LIMIT,
@@ -30,7 +31,6 @@ from .scenarios import ScenarioConfig
 
 __all__ = [
     "ConfigError",
-    "RunArtifacts",
     "read_config_file",
     "SWEEP_KEYS",
     "RUN_KEYS",
@@ -49,27 +49,6 @@ class ConfigError(ValueError):
 _COMMON_KEYS = ("scenario", "phi", "seed", "n", "attach", "alpha", "max_iters", "regen_limit")
 SWEEP_KEYS = _COMMON_KEYS + ("degrees", "runs")
 RUN_KEYS = _COMMON_KEYS + ("degree", "run_index")
-
-
-@dataclass(frozen=True)
-class RunArtifacts:
-    """File layout for one output directory."""
-
-    cells_path: str
-    runs_path: str
-    nodes_path: str
-    edges_path: str
-    trajectory_path: str
-
-    @classmethod
-    def in_dir(cls, out_dir: str) -> "RunArtifacts":
-        return cls(
-            cells_path=os.path.join(out_dir, "cells.csv"),
-            runs_path=os.path.join(out_dir, "runs.csv"),
-            nodes_path=os.path.join(out_dir, "nodes.csv"),
-            edges_path=os.path.join(out_dir, "edges.csv"),
-            trajectory_path=os.path.join(out_dir, "trajectory.csv"),
-        )
 
 
 def read_config_file(path: str) -> dict:
@@ -274,13 +253,14 @@ def write_sweep_outputs(cells, records, scenario_kind: str, out_dir: str):
         os.makedirs(out_dir, exist_ok=True)
     except OSError as e:
         raise OSError(f"cannot create output directory {out_dir}: {e}") from e
-    artifacts = RunArtifacts.in_dir(out_dir)
+    cells_path = os.path.join(out_dir, "cells.csv")
+    runs_path = os.path.join(out_dir, "runs.csv")
 
     def run_row(r):
-        mbar = None if r.failed else r.mbar_final
         t_final = None if r.failed else r.t_final
-        return (scenario_kind, r.phi_deg, r.degree, r.run_index, mbar, t_final, r.outcome_label)
+        return (scenario_kind, r.phi_deg, r.degree, r.run_index, r.mbar_final, t_final,
+                r.outcome_label)
 
-    write_csv(artifacts.cells_path, CELLS_HEADER, (astuple(c) for c in cells))
-    write_csv(artifacts.runs_path, RUNS_HEADER, (run_row(r) for r in records))
-    return artifacts.cells_path, artifacts.runs_path
+    write_csv(cells_path, CELLS_HEADER, (astuple(c) for c in cells))
+    write_csv(runs_path, RUNS_HEADER, (run_row(r) for r in records))
+    return cells_path, runs_path

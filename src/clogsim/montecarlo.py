@@ -13,10 +13,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import product
 
 import numpy as np
 
-from .dynamics import RunOutcome, outcome_label, run_to_completion
+from .dynamics import RunOutcome, run_to_completion
 from .network import find_node_with_degree, generate_pa_network
 from .scenarios import KINDS, ScenarioConfig, scenario_biases
 
@@ -81,7 +83,7 @@ class SweepSpec:
 class RunRecord(RunOutcome):
     """One run's coordinates and its RunOutcome fields; ``failed`` marks a
     run whose target innovator degree never appeared within the
-    regeneration limit."""
+    regeneration limit (its ``mbar_final`` is NaN, so no flag is set)."""
 
     phi_deg: float
     degree: int
@@ -92,7 +94,7 @@ class RunRecord(RunOutcome):
 
     @property
     def outcome_label(self) -> str:
-        return "regen_failure" if self.failed else outcome_label(self)
+        return "regen_failure" if self.failed else super().outcome_label
 
 
 @dataclass(frozen=True)
@@ -187,28 +189,13 @@ def execute_run(spec: SweepSpec, phi_deg: float, degree: int, run_index: int) ->
     coords = dict(phi_deg=float(phi_deg), degree=int(degree), run_index=int(run_index),
                   seed=seed, regen_attempts=attempts)
     if net is None:
-        return RunRecord(
-            **coords, failed=True, mbar_final=float("nan"), t_final=-1, terminated_by="",
-            survival=False, dominance=False, completion=False,
-        )
+        return RunRecord(**coords, failed=True, mbar_final=float("nan"), t_final=-1,
+                         terminated_by="")
     outcome = run_to_completion(
         net, innovator, config.phi_deg, beta, rng,
         alpha=config.alpha, max_iters=config.max_iters,
     )
     return RunRecord(**coords, failed=False, **vars(outcome))
-
-
-_WORKER_SPEC: SweepSpec | None = None
-
-
-def _init_worker(spec: SweepSpec) -> None:
-    global _WORKER_SPEC
-    _WORKER_SPEC = spec
-
-
-def _worker_run(coords) -> RunRecord:
-    phi_deg, degree, run_index = coords
-    return execute_run(_WORKER_SPEC, phi_deg, degree, run_index)
 
 
 def worker_count(workers: int | None) -> int:
@@ -236,13 +223,14 @@ def execute_sweep(spec: SweepSpec, workers: int | None = None):
         for i in range(spec.runs_per_cell)
     ]
     workers = min(worker_count(workers), len(tasks))
+    run = partial(execute_run, spec)
 
     if workers == 1:
-        records = [execute_run(spec, *coords) for coords in tasks]
+        records = [run(*c) for c in tasks]
     else:
         chunk = max(1, len(tasks) // (workers * 8))
-        with multiprocessing.Pool(workers, _init_worker, (spec,)) as pool:
-            records = pool.map(_worker_run, tasks, chunksize=chunk)
+        with multiprocessing.Pool(workers) as pool:
+            records = pool.starmap(run, tasks, chunksize=chunk)
 
     return aggregate_cells(spec, records), records
 
@@ -250,33 +238,31 @@ def execute_sweep(spec: SweepSpec, workers: int | None = None):
 def aggregate_cells(spec: SweepSpec, records) -> list[CellResult]:
     """Per-cell counts and moments, in grid order.
 
-    Means and standard deviations cover completed runs only; regeneration
-    failures are counted separately.  The sample SD needs two runs and the
-    means one, otherwise they are NaN.
+    ``records`` must be in the grid order :func:`execute_sweep` returns:
+    phi outermost, then degree, then run index, ``spec.runs_per_cell``
+    records per cell.  Means and standard deviations cover completed runs
+    only; regeneration failures are counted separately.  The sample SD
+    needs two runs and the means one, otherwise they are NaN.
     """
-    by_cell: dict[tuple, list[RunRecord]] = {}
-    for rec in records:
-        by_cell.setdefault((rec.phi_deg, rec.degree), []).append(rec)
-
+    runs = spec.runs_per_cell
     cells = []
-    for phi in spec.phi_list:
-        for d in spec.degree_list:
-            recs = sorted(by_cell.get((float(phi), int(d)), []), key=lambda r: r.run_index)
-            done = [r for r in recs if not r.failed]
-            mbar = np.array([r.mbar_final for r in done])
-            tfin = np.array([r.t_final for r in done], dtype=np.float64)
-            cells.append(CellResult(
-                phi_deg=float(phi),
-                innovator_degree=int(d),
-                runs=len(done),
-                n_survival=sum(r.survival for r in done),
-                n_dominance=sum(r.dominance for r in done),
-                n_completion=sum(r.completion for r in done),
-                mean_mbar_final=float(mbar.mean()) if done else float("nan"),
-                sd_mbar_final=float(mbar.std(ddof=1)) if len(done) > 1 else float("nan"),
-                mean_t_final=float(tfin.mean()) if done else float("nan"),
-                n_regen_failures=len(recs) - len(done),
-            ))
+    for k, (phi, d) in enumerate(product(spec.phi_list, spec.degree_list)):
+        recs = records[k * runs:(k + 1) * runs]
+        done = [r for r in recs if not r.failed]
+        mbar = np.array([r.mbar_final for r in done])
+        tfin = np.array([r.t_final for r in done], dtype=np.float64)
+        cells.append(CellResult(
+            phi_deg=float(phi),
+            innovator_degree=int(d),
+            runs=len(done),
+            n_survival=sum(r.survival for r in done),
+            n_dominance=sum(r.dominance for r in done),
+            n_completion=sum(r.completion for r in done),
+            mean_mbar_final=float(mbar.mean()) if done else float("nan"),
+            sd_mbar_final=float(mbar.std(ddof=1)) if len(done) > 1 else float("nan"),
+            mean_t_final=float(tfin.mean()) if done else float("nan"),
+            n_regen_failures=len(recs) - len(done),
+        ))
     return cells
 
 

@@ -13,9 +13,8 @@ def serial_pool(monkeypatch):
     sizes = []
 
     class SerialPool:
-        def __init__(self, processes, initializer, initargs):
+        def __init__(self, processes):
             sizes.append(processes)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -23,10 +22,9 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return [fn(t) for t in tasks]
+        def starmap(self, fn, tasks, chunksize=1):
+            return [fn(*t) for t in tasks]
 
-    monkeypatch.setattr(montecarlo, "_WORKER_SPEC", None)
     monkeypatch.setattr(montecarlo.multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
     return sizes

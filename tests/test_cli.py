@@ -64,6 +64,7 @@ class TestFn:
         (("--phi", "30"), "phi"),
         (("--phi", "30", "--fixed-points"), "phi"),
         (("--family", "logistic", "--phi", "95"), "phi"),
+        (("--phi", "60", "--beta", "0.7"), "beta"),
     ])
     def test_error_names_the_flag(self, capsys, argv, key):
         code, _, err = run_cli(capsys, "fn", *argv)
@@ -91,6 +92,15 @@ class TestNet:
         code, _, err = run_cli(capsys, "net")
         assert code == 1
         assert "seed" in err
+
+    @pytest.mark.parametrize("argv, key", [
+        (("--attach", "0"), "attach"),
+        (("--n", "2"), "n"),
+    ])
+    def test_error_names_the_flag(self, capsys, tmp_path, argv, key):
+        code, _, err = run_cli(capsys, "net", "--seed", "1", "--out-dir", str(tmp_path), *argv)
+        assert code == 1
+        assert err.startswith(f"error: {key}: ")
 
 
 class TestRun:

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from clogsim import dynamics
 from clogsim.decision import production_rule
 from clogsim.dynamics import (
+    COMPLETION_MIN,
     CONSENSUS_EPS,
     CONSENSUS_ONE,
     CONSENSUS_ZERO,
     DEFAULT_ALPHA,
+    DOMINANCE_MIN,
     MAX_ITERATIONS,
+    SURVIVAL_MIN,
     RunOutcome,
-    classify_outcome,
     run_to_completion,
     simulate_run,
 )
@@ -291,23 +293,27 @@ class TestClassifyOutcome:
             (1.0, True, True, True),
         ]
         for mbar, sur, dom, comp in cases:
-            out = classify_outcome(mbar, 100, MAX_ITERATIONS)
+            out = RunOutcome(mbar, 100, MAX_ITERATIONS)
             assert (out.survival, out.dominance, out.completion) == (sur, dom, comp)
 
-    def test_nesting_invariant(self):
-        for mbar in np.linspace(0, 1, 101):
-            out = classify_outcome(float(mbar), 1, MAX_ITERATIONS)
-            assert (not out.completion or out.dominance)
-            assert (not out.dominance or out.survival)
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0))
+    def test_flags_and_label_follow_thresholds(self, mbar):
+        out = RunOutcome(mbar, 1, MAX_ITERATIONS)
+        flags = (out.survival, out.dominance, out.completion)
+        assert flags == (mbar > SURVIVAL_MIN, mbar >= DOMINANCE_MIN, mbar >= COMPLETION_MIN)
+        assert out.survival >= out.dominance >= out.completion
+        label = ("extinction", "survival", "dominance", "completion")[sum(flags)]
+        assert out.outcome_label == label
 
     def test_consensus_extremes(self):
-        zero = classify_outcome(1e-9, 175, CONSENSUS_ZERO)
+        zero = RunOutcome(1e-9, 175, CONSENSUS_ZERO)
         assert not (zero.survival or zero.dominance or zero.completion)
-        one = classify_outcome(1.0 - 1e-9, 300, CONSENSUS_ONE)
+        one = RunOutcome(1.0 - 1e-9, 300, CONSENSUS_ONE)
         assert one.survival and one.dominance and one.completion
 
     def test_is_frozen_record(self):
-        out = classify_outcome(0.5, 1, MAX_ITERATIONS)
+        out = RunOutcome(0.5, 1, MAX_ITERATIONS)
         assert isinstance(out, RunOutcome)
         with pytest.raises(AttributeError):
             out.mbar_final = 0.0

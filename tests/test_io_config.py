@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from clogsim.io_config import (
     ConfigError,
-    RunArtifacts,
     format_field,
     parse_run_config,
     parse_sweep_config,
@@ -216,7 +215,7 @@ class TestSweepOutputs:
         rec = RunRecord(
             phi_deg=60.0, degree=40, run_index=0, seed=1, failed=True,
             regen_attempts=3, mbar_final=float("nan"), t_final=-1,
-            terminated_by="", survival=False, dominance=False, completion=False,
+            terminated_by="",
         )
         spec = SweepSpec(
             scenario=ScenarioConfig(kind="random", phi_deg=60.0, n=64),
@@ -229,10 +228,3 @@ class TestSweepOutputs:
         _, runs_path = write_sweep_outputs(cells, [rec], "random", str(tmp_path))
         lines = open(runs_path).read().splitlines()
         assert lines[1] == "random,60,40,0,,,regen_failure"
-
-
-class TestRunArtifacts:
-    def test_layout(self):
-        art = RunArtifacts.in_dir("out")
-        assert art.cells_path == os.path.join("out", "cells.csv")
-        assert art.trajectory_path == os.path.join("out", "trajectory.csv")

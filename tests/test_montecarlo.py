@@ -81,6 +81,7 @@ class TestExecuteRun:
         assert rec.regen_attempts == 3
         assert rec.outcome_label == "regen_failure"
         assert np.isnan(rec.mbar_final)
+        assert not (rec.survival or rec.dominance or rec.completion)
 
     def test_first_network_usually_has_degree_two(self):
         spec = small_spec(kind="random", phi_list=(60.0,), degree_list=(2,),
@@ -177,7 +178,6 @@ class TestAggregateCells:
         return RunRecord(
             phi_deg=phi, degree=degree, run_index=idx, seed=0, failed=failed,
             regen_attempts=1, mbar_final=mbar, t_final=100, terminated_by="max_iterations",
-            survival=mbar > 1e-4, dominance=mbar >= 0.5, completion=mbar >= 1 - 1e-4,
         )
 
     def test_moments_and_counts(self):
@@ -225,8 +225,7 @@ class TestDegreeDistribution:
                 records.append(RunRecord(
                     phi_deg=60.0, degree=d, run_index=i, seed=0, failed=False,
                     regen_attempts=1, mbar_final=1.0 if i < 5 else 0.0, t_final=10,
-                    terminated_by="max_iterations", survival=i < 5, dominance=i < 5,
-                    completion=i < 5,
+                    terminated_by="max_iterations",
                 ))
         pmf = np.zeros(5)
         pmf[2], pmf[3], pmf[4] = 0.5, 0.3, 0.2
@@ -239,8 +238,7 @@ class TestDegreeDistribution:
         records = [RunRecord(
             phi_deg=60.0, degree=2, run_index=0, seed=0, failed=False,
             regen_attempts=1, mbar_final=0.0, t_final=10,
-            terminated_by="consensus_zero", survival=False, dominance=False,
-            completion=False,
+            terminated_by="consensus_zero",
         )]
         rows = conditional_degree_distribution(records, np.array([0.0, 0.0, 1.0]))
         assert rows[0][1] == 0.0
