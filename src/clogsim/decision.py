@@ -37,6 +37,7 @@ __all__ = [
     "clog_eval",
     "logistic_eval",
     "production_rule",
+    "step_threshold",
     "find_fixed_points",
     "tabulate_curve",
 ]
@@ -165,7 +166,7 @@ def _rule(family: str, phi_deg: float, beta):
         # Pointwise limit: the threshold stays at 0.5 + beta for every tau.
         # At the threshold the clog keeps the value 0.5 + beta, while the
         # logistic takes 0.5 (both exponentials tie).
-        thr = 0.5 + np.asarray(beta, dtype=np.float64)
+        thr = step_threshold(beta)
         at_threshold = thr if family == "clog" else 0.5
         return lambda m: _step_kernel(m, thr, at_threshold)
     if tau == math.inf:
@@ -211,6 +212,11 @@ def production_rule(phi_deg: float, beta):
     per-cycle hot path.
     """
     return _rule("clog", phi_deg, beta)
+
+
+def step_threshold(beta):
+    """Threshold 0.5 + beta of the phi = 90 rule: 0 below it, 1 above."""
+    return 0.5 + np.asarray(beta, dtype=np.float64)
 
 
 def _bisect_root(g, a: float, b: float) -> float:

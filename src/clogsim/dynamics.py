@@ -12,12 +12,16 @@ results.  A run ends at consensus (every m_i within 1e-8 of the same
 corner) or at a cycle cap, and the final population mean classifies the
 outcome: survival, dominance, completion.
 
-At phi = 90 the rule is a step, so a cycle in which every production
-probability is exactly 0 or 1 draws signals that do not depend on chance.
-If such a cycle also leaves every mental state bitwise unchanged, the state
-is absorbing: each later cycle would redraw the same signals and rebuild
-the same states.  The run then stops early and reports exactly what the
-cycle cap would have reported.
+At phi = 90 the rule is a step at the threshold 0.5 + beta, so once every
+mental state and every neighbour input lies strictly on the side of its
+node's threshold that the node's signal is on, the signals are settled:
+each later cycle redraws them unchanged, and each state follows the fixed
+map x <- alpha * input + (1 - alpha) * x.  The run then iterates that map
+alone, with the same arithmetic, until a state crosses its threshold (and
+full cycles resume), consensus is reached, or the states stop changing
+(an absorbing state, reported as a run capped at the cycle limit).  The
+results, the trace and the generator state equal those of the full cycle
+loop, except that an absorbing run does not draw its remaining cycles.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decision import production_rule
+from .decision import production_rule, step_threshold
 from .network import Network
 
 __all__ = [
@@ -99,12 +103,77 @@ def _initial_state(n: int, innovator: int) -> np.ndarray:
     return m
 
 
+# Settled signals are fast-forwarded in blocks of rows, one row per cycle.
+# A small first block wastes few rows when a state soon leaves its side;
+# doubling up to the last spreads each block's checks over more rows.
+_FIRST_BLOCK = 8
+_MAX_BLOCK = 64
+
+
 def _cycle(m, rule, indptr, indices, inv_deg, alpha, rng):
     # Phase 1: produce.  Phase 2: average neighbor signals and update.
     p = rule(m)
     s = rng.random(m.size) < p
     inp = np.add.reduceat(s[indices].astype(np.float64), indptr[:-1]) * inv_deg
-    return alpha * inp + (1.0 - alpha) * m, s, p
+    return alpha * inp + (1.0 - alpha) * m, s, p, inp
+
+
+def _on_side(x, s, thr):
+    """Per row of ``x``: every node strictly on the side of ``thr`` that its
+    signal in ``s`` is on."""
+    return np.where(s, x > thr, x < thr).all(axis=-1)
+
+
+def _settled(m, s, p, inp, thr) -> bool:
+    """Whether the step rule will redraw the signals ``s`` for as long as the
+    states stay on their sides: every ``p`` is 0 or 1, and the states ``m``
+    and the inputs ``inp`` lie strictly on each node's side of ``thr``."""
+    return (bool(_on_side(inp, s, thr)) and bool(_on_side(m, s, thr))
+            and not np.any((p > 0.0) & (p < 1.0)))
+
+
+def _fast_forward(m, s, inp, thr, alpha, t, max_iters, rng, mbar_trace):
+    """Cycles after cycle ``t`` with the settled signals ``s`` held fixed.
+
+    Each row is ``alpha * inp + (1 - alpha) * x``, the arithmetic of a full
+    cycle.  Stops at the first row that reaches consensus, repeats the row
+    before it (an absorbing state: the trace is padded to ``max_iters``) or
+    leaves a node's side, where full cycles resume.  ``rng`` draws what the
+    skipped cycles would have drawn, except after an absorbing state.
+    Returns (m, t, terminated_by); terminated_by is None when cycles resume.
+    """
+    a = alpha * inp
+    c = 1.0 - alpha
+    x = m
+    block = _FIRST_BLOCK
+    while t < max_iters:
+        rows = np.empty((min(block, max_iters - t), m.size))
+        for row in rows:
+            np.multiply(c, x, out=row)
+            np.add(a, row, out=row)
+            x = row
+        zero = rows.max(axis=1) < CONSENSUS_EPS
+        one = rows.min(axis=1) > 1.0 - CONSENSUS_EPS
+        same = (rows == np.vstack((m, rows[:-1]))).all(axis=1)
+        stop = zero | one | same | ~_on_side(rows, s, thr)
+        j = int(np.argmax(stop)) if stop.any() else len(rows) - 1
+        t += j + 1
+        m = rows[j].copy()
+        if mbar_trace is not None:
+            mbar_trace.extend(float(r.mean()) for r in rows[:j + 1])
+        if same[j]:
+            if mbar_trace is not None:
+                mbar_trace.extend([mbar_trace[-1]] * (max_iters - t))
+            return m, max_iters, MAX_ITERATIONS
+        rng.random((j + 1) * m.size)
+        if zero[j]:
+            return m, t, CONSENSUS_ZERO
+        if one[j]:
+            return m, t, CONSENSUS_ONE
+        if stop[j]:
+            return m, t, None
+        block = min(2 * block, _MAX_BLOCK)
+    return m, t, MAX_ITERATIONS
 
 
 def simulate_run(
@@ -125,12 +194,13 @@ def simulate_run(
     If ``mbar_trace`` is a list, the population mean is appended each cycle
     (index = cycle, starting with the initial state at index 0).
 
-    At ``phi_deg == 90`` a run that reaches an absorbing state (every
-    production probability exactly 0 or 1 and the mental states bitwise
-    unchanged by the cycle) stops there.  Its outcome, final state and
-    trace, padded with the unchanging mean, equal those of the full loop up
-    to ``max_iters``; only ``rng`` is not advanced through the skipped
-    cycles.
+    At ``phi_deg == 90``, once the signals are settled (see the module
+    docstring) the states are advanced by the update map alone, without
+    calling the rule or gathering signals.  An absorbing state ends the
+    run as the cycle cap would: ``t_final == max_iters``, and the trace is
+    padded with the unchanging mean.  Outcome, final states, trace and,
+    for every run not stopped at ``max_iters``, the state of ``rng`` equal
+    those of the full cycle loop.
     """
     if net.n == 0 or int(net.degrees.min()) < 1:
         raise ValueError("simulation requires every node to have at least one neighbor")
@@ -147,12 +217,13 @@ def simulate_run(
     if mbar_trace is not None:
         mbar_trace.append(float(m.mean()))
 
-    step_rule = phi_deg == 90.0
+    # Below 90 signals are never settled, so only the step rule checks.
+    thr = step_threshold(beta) if phi_deg == 90.0 else None
     terminated_by = MAX_ITERATIONS
     t = 0
-    for t in range(1, max_iters + 1):
-        m_prev = m
-        m, s, p = _cycle(m, rule, indptr, indices, inv_deg, alpha, rng)
+    while t < max_iters:
+        m, s, p, inp = _cycle(m, rule, indptr, indices, inv_deg, alpha, rng)
+        t += 1
         if mbar_trace is not None:
             mbar_trace.append(float(m.mean()))
         mx = float(m.max())
@@ -162,12 +233,11 @@ def simulate_run(
         if mx > 1.0 - CONSENSUS_EPS and float(m.min()) > 1.0 - CONSENSUS_EPS:
             terminated_by = CONSENSUS_ONE
             break
-        # Below 90 no mixed state is absorbing, so only the step rule checks.
-        if step_rule and np.array_equal(m, m_prev) and not np.any((p > 0.0) & (p < 1.0)):
-            if mbar_trace is not None:
-                mbar_trace.extend([mbar_trace[-1]] * (max_iters - t))
-            t = max_iters
-            break
+        if thr is not None and _settled(m, s, p, inp, thr):
+            m, t, exit_ = _fast_forward(m, s, inp, thr, alpha, t, max_iters, rng, mbar_trace)
+            if exit_ is not None:
+                terminated_by = exit_
+                break
 
     return RunOutcome(float(m.mean()), t, terminated_by), m
 

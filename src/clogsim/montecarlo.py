@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import product
 
@@ -79,6 +79,22 @@ class SweepSpec:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.master_seed!r}")
 
 
+def _nan_key(obj) -> tuple:
+    # NaN marks a value a run or a cell could not measure; as a key it is
+    # None, so a failed run or an empty cell equals its own replay.
+    return tuple(None if v != v else v for v in (getattr(obj, f.name) for f in fields(obj)))
+
+
+def _nan_eq(self, other):
+    if type(other) is not type(self):
+        return NotImplemented
+    return _nan_key(self) == _nan_key(other)
+
+
+def _nan_hash(self):
+    return hash(_nan_key(self))
+
+
 @dataclass(frozen=True)
 class RunRecord(RunOutcome):
     """One run's coordinates and its RunOutcome fields; ``failed`` marks a
@@ -91,6 +107,9 @@ class RunRecord(RunOutcome):
     seed: int
     failed: bool
     regen_attempts: int
+
+    __eq__ = _nan_eq
+    __hash__ = _nan_hash
 
     @property
     def outcome_label(self) -> str:
@@ -109,6 +128,9 @@ class CellResult:
     sd_mbar_final: float
     mean_t_final: float
     n_regen_failures: int
+
+    __eq__ = _nan_eq
+    __hash__ = _nan_hash
 
 
 _MASK64 = (1 << 64) - 1

@@ -1,4 +1,5 @@
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def cycle(m, net, phi_deg, beta, alpha, rng):
     """One cycle of ``dynamics._cycle``: (next states, signals, probabilities)."""
     inv_deg = 1.0 / net.degrees.astype(np.float64)
     return dynamics._cycle(m, production_rule(phi_deg, beta), net.indptr, net.indices,
-                           inv_deg, alpha, rng)
+                           inv_deg, alpha, rng)[:3]
 
 
 class TestInitState:
@@ -190,7 +191,7 @@ class TestRunToCompletion:
 
 
 def reference_run(net, m0, phi_deg, beta, rng, max_iters, alpha=DEFAULT_ALPHA):
-    """Reference run written from the update rule, without the absorbing exit.
+    """Reference run written from the update rule, without the fast-forward.
 
     Each cycle draws every signal, sums each node's neighbour signals
     through a dense adjacency matrix and scales the sum by ``1.0/deg``.
@@ -245,6 +246,53 @@ def assert_same_run(net, innovator, phi_deg, beta, rng, max_iters, alpha=DEFAULT
     return outcome, rng.bit_generator.state != ref_rng.bit_generator.state
 
 
+@st.composite
+def step_rule_starts(draw):
+    """A PA graph, a start state and per-node biases for the phi = 90 rule.
+
+    Each node gets a signal bit; ``v`` is the neighbour input the bits give
+    it.  Thresholds lie on each node's bit side of its input, exactly at the
+    input, or exactly where the node's first update from its input lands.
+    Starts lie at the input, at the bit's corner or at a random state.
+
+    Half the draws on graphs that allow it build a settled state with one
+    exception: node ``i`` hears k of its d neighbours, and k/d is an input
+    whose update rounds up by one ulp.  Node ``i`` then lands exactly on its
+    threshold while its input and its previous state lie below it.
+    """
+    n = draw(st.integers(8, 64))
+    net = generate_pa_network(n, draw(st.integers(1, 3)),
+                              np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    inv_deg = 1.0 / net.degrees.astype(np.float64)
+
+    def per_node(strategy):
+        return np.array(draw(st.lists(strategy, min_size=n, max_size=n)))
+
+    def landing(v):
+        return DEFAULT_ALPHA * v + (1.0 - DEFAULT_ALPHA) * v
+
+    u = per_node(st.integers(1, 99)) / 100.0
+    rounds_up = [(i, k) for i in range(n) for k in range(int(net.degrees[i]))
+                 if k * inv_deg[i] < landing(k * inv_deg[i])]
+    if rounds_up and draw(st.booleans()):
+        i, k = draw(st.sampled_from(rounds_up))
+        bits = np.ones(n, dtype=bool)
+        bits[i] = False
+        bits[draw(st.permutations(net.neighbors(i)))[:int(net.degrees[i]) - k]] = False
+        thr_mode = np.where(np.arange(n) == i, "landing", "side")
+        start_mode = np.full(n, "input")
+    else:
+        bits = per_node(st.booleans())
+        thr_mode = per_node(st.sampled_from(["side", "input", "landing"]))
+        start_mode = per_node(st.sampled_from(["input", "corner", "random"]))
+    v = np.add.reduceat(bits[net.indices].astype(np.float64), net.indptr[:-1]) * inv_deg
+    side = np.where(bits, v * u, v + (1.0 - v) * u)
+    thr = np.select([thr_mode == "input", thr_mode == "landing"], [v, landing(v)], side)
+    start = np.select([start_mode == "input", start_mode == "corner"],
+                      [v, bits.astype(np.float64)], u)
+    return net, start, np.clip(thr - 0.5, -0.5, 0.5)
+
+
 class TestAbsorbingExit:
     @pytest.mark.parametrize("kind", ["nearby", "random", "hubs", "unbiased"])
     def test_step_rule_matches_step_loop(self, kind):
@@ -277,6 +325,33 @@ class TestAbsorbingExit:
         beta = rng.uniform(-0.5, 0.5, 64)
         _, skipped = assert_same_run(net, 0, 89.0, beta, rng, 300)
         assert not skipped
+
+    @given(case=step_rule_starts(), seed=st.integers(0, 2**32 - 1),
+           max_iters=st.integers(50, 2000))
+    @settings(max_examples=150, deadline=None)
+    def test_fast_forward_matches_reference_loop(self, case, seed, max_iters):
+        net, start, beta = case
+        with mock.patch.object(dynamics, "_initial_state", lambda n, innovator: start.copy()):
+            outcome, skipped = assert_same_run(net, 0, 90.0, beta, np.random.default_rng(seed),
+                                               max_iters, start=start)
+        assert not skipped or outcome.terminated_by == MAX_ITERATIONS
+
+
+class TestNeutralMartingale:
+    # At phi = 45 the rule is the identity, so the degree-weighted mean state
+    # W = sum_i d_i m_i / 2E is a martingale: E[W_T] = W_0 = d / 2E on any
+    # network and under any stopping rule.  The bound, four standard errors
+    # of the mean over 2000 replicas, was fixed before the test first ran.
+    @pytest.mark.parametrize("degree", [4, 8, 16])
+    def test_degree_weighted_mean_is_a_martingale(self, degree):
+        config = ScenarioConfig(kind="neutral", phi_deg=45.0, innovator_degree=degree)
+        _, rng, net, innovator, _, beta = prepare_run(config, 20260810, 0)
+        two_e = float(net.degrees.sum())
+        w = np.array([
+            net.degrees @ simulate_run(net, innovator, 45.0, beta, rng, max_iters=20)[1]
+            for _ in range(2000)
+        ]) / two_e
+        assert abs(w.mean() - degree / two_e) <= 4.0 * w.std(ddof=1) / np.sqrt(w.size)
 
 
 class TestClassifyOutcome:
