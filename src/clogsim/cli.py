@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage or parameter error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -22,28 +21,90 @@ from .decision import (
 )
 from .dynamics import simulate_run
 from .io_config import (
-    RUN_KEYS,
-    SWEEP_KEYS,
     ConfigError,
-    parse_run_config,
-    parse_sweep_config,
+    format_field,
     read_config_file,
     write_csv,
     write_sweep_outputs,
 )
+from .montecarlo import (
+    DEFAULT_REGEN_LIMIT,
+    DESK_DEGREE_LIST,
+    DESK_PHI_LIST,
+    DESK_RUNS_PER_CELL,
+    SweepSpec,
+)
 from .network import bfs_distances, edge_array, generate_pa_network
-from .scenarios import KINDS
+from .scenarios import KINDS, ScenarioConfig
 
 __all__ = ["main", "build_parser"]
 
-
-class UsageError(Exception):
-    pass
+# The keys a sweep --config file may set: every sweep flag but --workers,
+# --config and --out-dir, by exact name.
+SWEEP_KEYS = ("scenario", "phi", "seed", "n", "attach", "alpha", "max_iters", "regen_limit",
+              "degrees", "runs")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ConfigError(message)
+
+
+def _seed(text: str) -> int:
+    """argparse type of a master seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < 2**64:
+        # mix_seed keeps only the low 64 bits, so a larger seed would alias one below.
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {seed}")
+    return seed
+
+
+def _grid(conv):
+    """argparse type of a sweep grid axis: a comma list (``45,60,90``) or
+    an inclusive range (``2:20`` / ``2:20:3``) of ``conv`` values.
+
+    Every value must be the one its 9-digit CSV text parses back to, so a
+    printed grid value replays the same seed.  Range values ``lo + k*step``
+    are replaced by that value; a list value that differs from it, a step
+    too fine for the text, or an empty range is rejected.
+    """
+
+    def parse(text: str) -> tuple:
+        try:
+            if ":" in text:
+                parts = text.split(":")
+                if len(parts) not in (2, 3):
+                    raise ValueError
+                lo, hi = conv(parts[0]), conv(parts[1])
+                step = conv(parts[2]) if len(parts) == 3 else conv("1")
+                if step <= 0 or hi < lo:
+                    raise ValueError
+                values = []
+                while (v := conv(format_field(lo + len(values) * step))) <= hi:
+                    if values and v <= values[-1]:
+                        raise ValueError
+                    values.append(v)
+                if not values:
+                    raise ValueError
+            else:
+                values = [conv(tok) for tok in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list or lo:hi[:step] range, got {text!r}"
+            ) from None
+        for v in values:
+            printed = format_field(v)
+            if printed and conv(printed) != v:
+                raise argparse.ArgumentTypeError(
+                    f"{v!r} prints as {printed} in sweep outputs, which would "
+                    f"replay a different seed; give at most 9 significant digits"
+                )
+        return tuple(values)
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_net.add_argument("--n", type=int, default=256)
     p_net.add_argument("--attach", type=int, default=2)
-    p_net.add_argument("--seed", type=int, required=True)
+    p_net.add_argument("--seed", type=_seed, required=True)
     p_net.add_argument("--out-dir", default=".")
 
     p_run = sub.add_parser(
@@ -85,8 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     _add_scenario_flags(p_run)
-    p_run.add_argument("--degree", default=None, help="innovator degree")
-    p_run.add_argument("--run-index", default=None, help="run index within the cell")
+    p_run.add_argument("--phi", type=float, required=True, help="angle in degrees")
+    p_run.add_argument("--degree", type=int, required=True, help="innovator degree")
+    p_run.add_argument("--run-index", type=int, default=0, help="run index within the cell")
     p_run.add_argument("--out-dir", default=".")
     p_run.add_argument("--dump-trajectory", action="store_true", help="write trajectory.csv (t,mbar)")
     p_run.add_argument("--dump-nodes", action="store_true",
@@ -99,9 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     _add_scenario_flags(p_sweep)
-    p_sweep.add_argument("--degrees", default=None, help="innovator degrees (list or lo:hi[:step])")
-    p_sweep.add_argument("--runs", default=None, help="runs per (phi, degree) cell")
-    p_sweep.add_argument("--config", default=None, help="key=value file; flags override it")
+    p_sweep.add_argument("--phi", type=_grid(float), default=DESK_PHI_LIST,
+                         help="angles in degrees (list or lo:hi[:step])")
+    p_sweep.add_argument("--degrees", type=_grid(int), default=DESK_DEGREE_LIST,
+                         help="innovator degrees (list or lo:hi[:step])")
+    p_sweep.add_argument("--runs", type=int, default=DESK_RUNS_PER_CELL,
+                         help="runs per (phi, degree) cell")
+    p_sweep.add_argument("--config", default=None,
+                         help="file of key=value lines, read as flags that precede the others")
     p_sweep.add_argument("--workers", type=int, default=None,
                          help="worker processes (default and maximum: all cores)")
     p_sweep.add_argument("--out-dir", default=".")
@@ -109,28 +176,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", default=None, choices=list(KINDS))
-    p.add_argument("--phi", default=None, help="angle in degrees (sweep: list or lo:hi[:step])")
-    p.add_argument("--seed", default=None, help="master seed")
-    p.add_argument("--n", default=None, help="population size")
-    p.add_argument("--attach", default=None, help="links per new node")
-    p.add_argument("--alpha", default=None, help="learning rate")
-    p.add_argument("--max-iters", default=None, help="cycle cap per run")
-    p.add_argument("--regen-limit", default=None, help="network regenerations per run")
+    p.add_argument("--scenario", required=True, choices=KINDS)
+    p.add_argument("--seed", type=_seed, required=True, help="master seed")
+    p.add_argument("--n", type=int, default=ScenarioConfig.n, help="population size")
+    p.add_argument("--attach", type=int, default=ScenarioConfig.attach_count,
+                   help="links per new node")
+    p.add_argument("--alpha", type=float, default=ScenarioConfig.alpha, help="learning rate")
+    p.add_argument("--max-iters", type=int, default=ScenarioConfig.max_iters,
+                   help="cycle cap per run")
+    p.add_argument("--regen-limit", type=int, default=DEFAULT_REGEN_LIMIT,
+                   help="network regenerations per run")
 
 
-def _emit_csv(out, header, rows) -> None:
-    if out is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    else:
-        write_csv(out, header, rows)
+def _with_config_flags(argv: list) -> list:
+    """``argv`` with a sweep's --config file lines inserted as flags right
+    after ``sweep``, so that the command line's own flags win."""
+    if argv[:1] != ["sweep"]:
+        return argv
+    prescan = _Parser(add_help=False)
+    prescan.add_argument("--config")
+    path = prescan.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    return ["sweep", *read_config_file(path, SWEEP_KEYS), *argv[1:]]
 
 
-def _flag_pairs(args, keys) -> dict:
-    """The config pairs of the flags given among ``keys``."""
-    return {key: value for key in keys if (value := getattr(args, key)) is not None}
+def _scenario(args, phi_deg: float, degree: int) -> ScenarioConfig:
+    return ScenarioConfig(
+        kind=args.scenario, phi_deg=phi_deg, alpha=args.alpha, n=args.n,
+        attach_count=args.attach, innovator_degree=degree, max_iters=args.max_iters,
+    )
 
 
 def _cmd_fn(args) -> int:
@@ -138,37 +213,31 @@ def _cmd_fn(args) -> int:
     try:
         phi_to_tau(args.phi, args.family)
     except ValueError as e:
-        raise UsageError(f"phi: {e}") from None
+        raise ConfigError(f"phi: {e}") from None
     try:
         params = DecisionParams(phi_deg=args.phi, beta=args.beta)
     except ValueError as e:
-        raise UsageError(f"beta: {e}") from None
+        raise ConfigError(f"beta: {e}") from None
     if args.fixed_points:
         result = find_fixed_points(args.family, params)
         if isinstance(result, FixedPointContinuum):
-            rows = [("", "continuum", f"{result.derivative:.9g}")]
+            rows = [("", "continuum", result.derivative)]
         else:
-            rows = [
-                (f"{fp.location:.9g}", fp.stability, f"{fp.derivative:.9g}")
-                for fp in result
-            ]
-        _emit_csv(args.out, ("location", "stability", "derivative"), rows)
+            rows = [(fp.location, fp.stability, fp.derivative) for fp in result]
+        write_csv(args.out, ("location", "stability", "derivative"), rows)
     else:
         if args.points < 2:
-            raise UsageError(f"points: must be at least 2, got {args.points}")
+            raise ConfigError(f"points: must be at least 2, got {args.points}")
         table = tabulate_curve(args.family, params, args.points)
-        rows = [(f"{m:.9g}", f"{v:.9g}") for m, v in table]
-        _emit_csv(args.out, ("m", "f_m"), rows)
+        write_csv(args.out, ("m", "f_m"), table.tolist())
     return 0
 
 
 def _cmd_net(args) -> int:
-    if args.seed < 0:
-        raise UsageError(f"seed: must be non-negative, got {args.seed}")
     if args.attach < 1:
-        raise UsageError(f"attach: must be at least 1, got {args.attach}")
+        raise ConfigError(f"attach: must be at least 1, got {args.attach}")
     if args.n <= args.attach:
-        raise UsageError(f"n: must exceed attach ({args.attach}), got {args.n}")
+        raise ConfigError(f"n: must exceed attach ({args.attach}), got {args.n}")
     rng = np.random.default_rng(args.seed)
     net = generate_pa_network(args.n, args.attach, rng)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -182,17 +251,20 @@ def _cmd_net(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config, seed, regen_limit, run_index = parse_run_config(_flag_pairs(args, RUN_KEYS))
-    degree = config.innovator_degree
+    config = _scenario(args, args.phi, args.degree)
+    if args.regen_limit < 1:
+        raise ConfigError(f"regen_limit: must be at least 1, got {args.regen_limit}")
+    if args.run_index < 0:
+        raise ConfigError(f"run_index: must be non-negative, got {args.run_index}")
 
     # The sweep's own per-run draws, so any sweep run can be replayed in
     # isolation from its coordinates.
     _, rng, net, innovator, attempts, beta = montecarlo.prepare_run(
-        config, seed, run_index, regen_limit
+        config, args.seed, args.run_index, args.regen_limit
     )
     if net is None:
         raise RuntimeError(
-            f"no node of degree {degree} in {regen_limit} generated networks"
+            f"no node of degree {args.degree} in {args.regen_limit} generated networks"
         )
     trace: list[float] | None = [] if args.dump_trajectory else None
     outcome, m_final = simulate_run(
@@ -202,7 +274,7 @@ def _cmd_run(args) -> int:
 
     print(f"outcome={outcome.outcome_label} mbar_final={outcome.mbar_final:.9g} "
           f"t_final={outcome.t_final} terminated_by={outcome.terminated_by} "
-          f"innovator={innovator} degree={degree} networks_tried={attempts}")
+          f"innovator={innovator} degree={args.degree} networks_tried={attempts}")
 
     def dump(name, header, rows):
         os.makedirs(args.out_dir, exist_ok=True)
@@ -224,8 +296,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    file_pairs = read_config_file(args.config) if args.config else {}
-    spec = parse_sweep_config({**file_pairs, **_flag_pairs(args, SWEEP_KEYS)})
+    spec = SweepSpec(
+        scenario=_scenario(args, args.phi[0], args.degrees[0]),
+        phi_list=args.phi,
+        degree_list=args.degrees,
+        runs_per_cell=args.runs,
+        master_seed=args.seed,
+        regen_limit=args.regen_limit,
+    )
     workers = montecarlo.worker_count(args.workers)
     if args.workers is not None and workers < args.workers:
         print(f"note: --workers {args.workers} exceeds the {workers} cores; using {workers}",
@@ -249,13 +327,13 @@ _COMMANDS = {"fn": _cmd_fn, "net": _cmd_net, "run": _cmd_run, "sweep": _cmd_swee
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_with_config_flags(argv))
         if args.command is None:
-            raise UsageError("a subcommand is required (fn, net, run, or sweep)")
+            raise ConfigError("a subcommand is required (fn, net, run, or sweep)")
         return _COMMANDS[args.command](args)
-    except (UsageError, ConfigError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         print("run 'clogsim --help' for usage", file=sys.stderr)
         return 1

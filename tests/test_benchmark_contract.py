@@ -9,6 +9,8 @@ stands for one benchmark workload's scenario kind and rule branch.
 
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,3 +42,23 @@ def test_traced_sweep_yields_every_declared_metric(tmp_path, scenario, phi):
                                   rows=out.rows, nbytes=out.bytes)
     assert set(metrics) == declared_per_layer()
     assert all(math.isfinite(value) for value, _ in metrics.values())
+
+
+# perfbench's set-up probe stops the CLI by replacing montecarlo.execute_sweep,
+# which works only while the CLI calls the sweep through that attribute.
+@pytest.mark.parametrize("config", [False, True])
+def test_setup_probe_reaches_the_sweep(tmp_path, config):
+    argv = ["sweep", "--scenario", "nearby", "--phi", "60", "--degrees", "2,3", "--runs", "2",
+            "--workers", "1", "--out-dir", str(tmp_path)]
+    if config:
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("seed=1\nmax_iters=200\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--seed", "1"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(REPO / "perfbench" / "child.py"), "setup", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert not (tmp_path / "cells.csv").exists()

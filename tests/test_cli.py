@@ -279,19 +279,21 @@ class TestSweep:
 
 class TestSeedRange:
     @pytest.mark.parametrize("command, grid", [
-        ("run", ("--degree", "2")),
-        ("sweep", ("--degrees", "2", "--runs", "1", "--workers", "1")),
+        ("run", ("--scenario", "unbiased", "--phi", "75", "--degree", "2", "--n", "64",
+                 "--max-iters", "50")),
+        ("sweep", ("--scenario", "unbiased", "--phi", "75", "--degrees", "2", "--runs", "1",
+                   "--workers", "1", "--n", "64", "--max-iters", "50")),
+        ("net", ("--n", "8")),
     ])
     def test_seed_beyond_64_bits_is_usage_error(self, capsys, tmp_path, command, grid):
         # mix_seed keeps the low 64 bits, so 2**64 would replay seed 0.
         code, out, err = run_cli(
-            capsys, command, "--scenario", "unbiased", "--phi", "75", *grid,
-            "--seed", str(2**64), "--n", "64", "--max-iters", "50",
-            "--out-dir", str(tmp_path),
+            capsys, command, *grid, "--seed", str(2**64), "--out-dir", str(tmp_path),
         )
         assert code == 1
-        assert "seed" in err
+        assert "--seed" in err
         assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_largest_seed_accepted(self, capsys):
         code, _, _ = run_cli(
