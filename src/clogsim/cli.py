@@ -111,19 +111,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="clogsim",
         description="Informational-cascade simulator on scale-free networks",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", metavar="{fn,net,run,sweep}")
 
     p_fn = sub.add_parser(
         "fn",
         help="decision-function curve tables and fixed-point reports",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     p_fn.add_argument("--family", choices=["clog", "logistic"], default="clog")
     p_fn.add_argument("--phi", type=float, required=True, help="inflection angle in degrees")
-    p_fn.add_argument("--beta", type=float, default=0.0, help="bias")
-    p_fn.add_argument("--points", type=int, default=101, help="curve grid size")
+    p_fn.add_argument("--beta", type=float, default=0.0, help="bias (default: %(default)s)")
+    p_fn.add_argument("--points", type=int, default=101,
+                      help="curve grid size (default: %(default)s)")
     p_fn.add_argument(
         "--fixed-points", action="store_true",
         help="emit location,stability,derivative instead of the curve",
@@ -133,22 +132,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_net = sub.add_parser(
         "net",
         help="generate one network; write edges.csv and nodes.csv",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     p_net.add_argument("--n", type=int, default=256)
     p_net.add_argument("--attach", type=int, default=2)
     p_net.add_argument("--seed", type=_seed, required=True)
     p_net.add_argument("--out-dir", default=".")
 
-    p_run = sub.add_parser(
-        "run",
-        help="execute one seeded run",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p_run = sub.add_parser("run", help="execute one seeded run")
     _add_scenario_flags(p_run)
     p_run.add_argument("--phi", type=float, required=True, help="angle in degrees")
     p_run.add_argument("--degree", type=int, required=True, help="innovator degree")
-    p_run.add_argument("--run-index", type=int, default=0, help="run index within the cell")
+    p_run.add_argument("--run-index", type=int, default=0,
+                       help="run index within the cell (default: %(default)s)")
     p_run.add_argument("--out-dir", default=".")
     p_run.add_argument("--dump-trajectory", action="store_true", help="write trajectory.csv (t,mbar)")
     p_run.add_argument("--dump-nodes", action="store_true",
@@ -156,41 +151,49 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--dump-edges", action="store_true", help="write edges.csv (src,dst)")
 
     p_sweep = sub.add_parser(
-        "sweep",
-        help="execute a Monte Carlo grid; write cells.csv and runs.csv",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        "sweep", help="execute a Monte Carlo grid; write cells.csv and runs.csv"
     )
-    _add_scenario_flags(p_sweep)
-    p_sweep.add_argument("--phi", type=_grid(float), default=DESK_PHI_LIST,
-                         help="angles in degrees (list or lo:hi[:step])")
-    p_sweep.add_argument("--degrees", type=_grid(int), default=DESK_DEGREE_LIST,
-                         help="innovator degrees (list or lo:hi[:step])")
-    p_sweep.add_argument("--runs", type=int, default=DESK_RUNS_PER_CELL,
-                         help="runs per (phi, degree) cell")
-    p_sweep.add_argument("--config", default=None,
-                         help="file of key=value lines, read as flags that precede the others")
-    p_sweep.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default and maximum: all cores)")
-    p_sweep.add_argument("--out-dir", default=".")
+    _add_sweep_flags(p_sweep)
     return parser
 
 
-def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", required=True, choices=KINDS)
-    p.add_argument("--seed", type=_seed, required=True, help="master seed")
-    p.add_argument("--n", type=int, default=ScenarioConfig.n, help="population size")
+def _add_scenario_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--scenario", required=required, choices=KINDS)
+    p.add_argument("--seed", type=_seed, required=required, help="master seed")
+    p.add_argument("--n", type=int, default=ScenarioConfig.n,
+                   help="population size (default: %(default)s)")
     p.add_argument("--attach", type=int, default=ScenarioConfig.attach_count,
-                   help="links per new node")
-    p.add_argument("--alpha", type=float, default=ScenarioConfig.alpha, help="learning rate")
+                   help="links per new node (default: %(default)s)")
+    p.add_argument("--alpha", type=float, default=ScenarioConfig.alpha,
+                   help="learning rate (default: %(default)s)")
     p.add_argument("--max-iters", type=int, default=ScenarioConfig.max_iters,
-                   help="cycle cap per run")
+                   help="cycle cap per run (default: %(default)s)")
     p.add_argument("--regen-limit", type=int, default=DEFAULT_REGEN_LIMIT,
-                   help="network regenerations per run")
+                   help="network regenerations per run (default: %(default)s)")
+
+
+def _add_sweep_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
+    _add_scenario_flags(p, required)
+    p.add_argument("--phi", type=_grid(float), default=DESK_PHI_LIST,
+                   help="angles in degrees (list or lo:hi[:step]; default: %(default)s)")
+    p.add_argument("--degrees", type=_grid(int), default=DESK_DEGREE_LIST,
+                   help="innovator degrees (list or lo:hi[:step]; default: %(default)s)")
+    p.add_argument("--runs", type=int, default=DESK_RUNS_PER_CELL,
+                   help="runs per (phi, degree) cell (default: %(default)s)")
+    p.add_argument("--config", default=None,
+                   help="file of key=value lines, read as flags that precede the others")
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes (default and maximum: all cores)")
+    p.add_argument("--out-dir", default=".")
 
 
 def _with_config_flags(argv: list) -> list:
     """``argv`` with a sweep's --config file lines inserted as flags right
-    after ``sweep``, so that the command line's own flags win."""
+    after ``sweep``, so that the command line's own flags win.
+
+    Each line's value is checked by its flag's own type and choices first,
+    so that an error names the file and line it came from.
+    """
     if argv[:1] != ["sweep"]:
         return argv
     prescan = _Parser(add_help=False)
@@ -198,7 +201,16 @@ def _with_config_flags(argv: list) -> list:
     path = prescan.parse_known_args(argv[1:])[0].config
     if path is None:
         return argv
-    return ["sweep", *read_config_file(path, SWEEP_KEYS), *argv[1:]]
+    check = _Parser(add_help=False)
+    _add_sweep_flags(check, required=False)
+    flags = []
+    for lineno, flag in read_config_file(path, SWEEP_KEYS):
+        try:
+            check.parse_args([flag])
+        except ConfigError as e:
+            raise ConfigError(f"{path}:{lineno}: {e}") from None
+        flags.append(flag)
+    return ["sweep", *flags, *argv[1:]]
 
 
 def _scenario(args, phi_deg: float, degree: int) -> ScenarioConfig:

@@ -139,19 +139,29 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Exponentiate only -|x| so no argument overflows.  The upper branch is
     # 1 - e/(1+e) rather than 1/(1+e): rounding 1 + e to the [1, 2) grid
     # first would leave every result below 1 a multiple of 2**-52, two ulps,
-    # and drop a bit of the output's resolution.
-    e = np.exp(-np.abs(x))
+    # and drop a bit of the output's resolution.  ``x`` has at least one
+    # dimension, so ``r`` is an array that the upper branch can overwrite.
+    e = np.exp(np.copysign(x, -1.0))
     r = e / (1.0 + e)
-    return np.where(x >= 0, 1.0 - r, r)
+    return np.subtract(1.0, r, out=r, where=x >= 0)
 
 
-def _clog_kernel(m: np.ndarray, tau: float, beta) -> np.ndarray:
+def _clog_kernel(m: np.ndarray, h: float, beta) -> np.ndarray:
     # Log-odds form L = ln(m/(1-m)) + (2m - 1 - 2 beta)/tau: the direct
     # exponential form overflows once tau is small.  At m = 0 and m = 1,
     # L is -inf and +inf, which the sigmoid maps to exactly 0 and 1; that
     # pins the fixed points at (0,0) and (1,1).
+    #
+    # The drift is computed as ((m - 0.5) - beta)/h with h = tau/2, which
+    # is the same double as ((2m - 1) - 2 beta)/tau.  Multiplying by 2 is
+    # exact and commutes with rounding unless a result is subnormal, and
+    # here none is rounded there: m - 0.5 is 0 or at least 2**-54 in size,
+    # a difference that lands among the subnormals is exact, and tau/2 is
+    # a normal number at every interior angle.  So each intermediate is
+    # exactly half of its doubled counterpart, and both quotients are the
+    # rounding of one real number.
     with np.errstate(divide="ignore"):
-        L = np.log(m / (1.0 - m)) + (2.0 * m - 1.0 - 2.0 * beta) / tau
+        L = np.log(m / (1.0 - m)) + (m - 0.5 - beta) / h
     return _sigmoid(L)
 
 
@@ -171,14 +181,16 @@ def _rule(family: str, phi_deg: float, beta):
         return lambda m: _step_kernel(m, thr, at_threshold)
     if tau == math.inf:
         return (lambda m: m) if family == "clog" else (lambda m: np.full_like(m, 0.5))
+    h = 0.5 * tau  # the drift is computed halved; see _clog_kernel
     if family == "clog":
-        return lambda m: _clog_kernel(m, tau, beta)
-    return lambda m: _sigmoid((2.0 * m - 1.0 - 2.0 * np.asarray(beta, dtype=np.float64)) / tau)
+        return lambda m: _clog_kernel(m, h, beta)
+    return lambda m: _sigmoid((m - 0.5 - beta) / h)
 
 
 def _eval(family: str, m, params: DecisionParams):
-    out = _rule(family, params.phi_deg, params.beta)(_as_prob(m))
-    return float(out) if np.ndim(m) == 0 else out
+    arr = _as_prob(m)
+    out = _rule(family, params.phi_deg, params.beta)(arr.reshape(-1))
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def clog_eval(m, params: DecisionParams):
@@ -207,9 +219,9 @@ def production_rule(phi_deg: float, beta):
     """Vectorized m -> P(s = 1) closure for the clog, angle resolved once.
 
     ``beta`` may be a scalar or a per-node array.  The returned callable
-    assumes its argument is already a valid probability vector (the
-    simulation maintains that invariant) and skips revalidation; it is the
-    per-cycle hot path.
+    assumes its argument is already a valid probability array with at least
+    one dimension (the simulation maintains that invariant) and skips
+    revalidation; it is the per-cycle hot path.
     """
     return _rule("clog", phi_deg, beta)
 
@@ -272,7 +284,7 @@ def find_fixed_points(family: str, params: DecisionParams):
     g = rule(grid) - grid
 
     def f(x: float) -> float:
-        return float(rule(np.float64(x)))
+        return float(rule(np.array([x]))[0])
 
     roots: list[float] = []
     for k in np.flatnonzero(g == 0.0):

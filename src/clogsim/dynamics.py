@@ -22,6 +22,14 @@ full cycles resume), consensus is reached, or the states stop changing
 (an absorbing state, reported as a run capped at the cycle limit).  The
 results, the trace and the generator state equal those of the full cycle
 loop, except that an absorbing run does not draw its remaining cycles.
+
+The uniforms behind the signals are drawn in blocks, one row of n per
+cycle: 8 cycles, then 16, and so on, doubling up to 8,192 uniforms (32
+cycles of 256 nodes), the last block of a run cut to its cycle cap.  One ``rng.random((k, n))`` yields the same doubles
+as k calls of ``rng.random(n)``.  When a run stops inside a block (at
+consensus, or when its signals settle and the fast-forward takes over),
+the generator is restored to its state before the block and redraws only
+the rows used, so it ends where a draw per cycle would have left it.
 """
 
 from __future__ import annotations
@@ -103,19 +111,39 @@ def _initial_state(n: int, innovator: int) -> np.ndarray:
     return m
 
 
-# Settled signals are fast-forwarded in blocks of rows, one row per cycle.
-# A small first block wastes few rows when a state soon leaves its side;
-# doubling up to the last spreads each block's checks over more rows.
+# Uniforms are drawn, and settled signals fast-forwarded, in blocks of
+# rows, one row per cycle.  A small first block wastes few rows when a run
+# soon stops or a state soon leaves its side; doubling up to the last
+# spreads each block's fixed costs over more rows.
 _FIRST_BLOCK = 8
 _MAX_BLOCK = 64
+# At most this many uniforms (64 KiB) per block.  Blocks of 128 KiB, 64
+# rows of 256 nodes, raised the peak RSS of a sweep worker by about 0.4 MB;
+# with 64 KiB blocks it matched that of drawing one row per cycle.
+_MAX_DRAW = 8192
 
 
-def _cycle(m, rule, indptr, indices, inv_deg, alpha, rng):
-    # Phase 1: produce.  Phase 2: average neighbor signals and update.
+def _cycle(m, u, rule, owner, indices, inv_deg, alpha, c):
+    # Phase 1: produce from the uniforms ``u``.  Phase 2: average neighbor
+    # signals and update; ``c`` is 1 - alpha.  Node owner[k] hears node
+    # indices[k] (see Network.owner).  A node's signal count is a sum of
+    # 0/1, exact in any order, so bincount gives the CSR row sums exactly.
     p = rule(m)
-    s = rng.random(m.size) < p
-    inp = np.add.reduceat(s[indices].astype(np.float64), indptr[:-1]) * inv_deg
-    return alpha * inp + (1.0 - alpha) * m, s, p, inp
+    s = u < p
+    inp = np.bincount(owner, s[indices]) * inv_deg
+    return alpha * inp + c * m, s, p, inp
+
+
+def _rewind(rng, state, uniforms, used):
+    """Leave ``rng`` where drawing only the first ``used`` rows of the
+    block ``uniforms``, drawn from ``state``, would have left it.
+
+    Restoring the state keeps the buffered uint32 that network growth may
+    have left, which ``bit_generator.advance`` would clear.
+    """
+    if used < len(uniforms):
+        rng.bit_generator.state = state
+        rng.random(used * uniforms.shape[1])
 
 
 def _on_side(x, s, thr):
@@ -212,7 +240,8 @@ def simulate_run(
     m = _initial_state(net.n, innovator)
     rule = production_rule(phi_deg, beta)
     inv_deg = 1.0 / net.degrees.astype(np.float64)
-    indptr, indices = net.indptr, net.indices
+    owner, indices = net.owner, net.indices
+    c = 1.0 - alpha
 
     if mbar_trace is not None:
         mbar_trace.append(float(m.mean()))
@@ -221,8 +250,16 @@ def simulate_run(
     thr = step_threshold(beta) if phi_deg == 90.0 else None
     terminated_by = MAX_ITERATIONS
     t = 0
+    # uniforms[row] is the next cycle's row; the block was drawn from state.
+    uniforms, row, block, state = (), 0, _FIRST_BLOCK, None
+    max_rows = max(1, _MAX_DRAW // net.n)
     while t < max_iters:
-        m, s, p, inp = _cycle(m, rule, indptr, indices, inv_deg, alpha, rng)
+        if row == len(uniforms):
+            state = rng.bit_generator.state
+            uniforms = rng.random((min(block, max_rows, max_iters - t), net.n))
+            row, block = 0, min(2 * block, max_rows)
+        m, s, p, inp = _cycle(m, uniforms[row], rule, owner, indices, inv_deg, alpha, c)
+        row += 1
         t += 1
         if mbar_trace is not None:
             mbar_trace.append(float(m.mean()))
@@ -234,11 +271,14 @@ def simulate_run(
             terminated_by = CONSENSUS_ONE
             break
         if thr is not None and _settled(m, s, p, inp, thr):
+            _rewind(rng, state, uniforms, row)
+            uniforms, row, block = (), 0, _FIRST_BLOCK
             m, t, exit_ = _fast_forward(m, s, inp, thr, alpha, t, max_iters, rng, mbar_trace)
             if exit_ is not None:
                 terminated_by = exit_
                 break
 
+    _rewind(rng, state, uniforms, row)
     return RunOutcome(float(m.mean()), t, terminated_by), m
 
 

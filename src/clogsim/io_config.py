@@ -35,8 +35,9 @@ class ConfigError(ValueError):
     """Bad input; the message names the flag, key or file line at fault."""
 
 
-def read_config_file(path: str, keys) -> list[str]:
-    """The ``--key=value`` flags of a file of key=value lines, in file order.
+def read_config_file(path: str, keys) -> list[tuple[int, str]]:
+    """(line number, ``--key=value`` flag) of each key=value line of a
+    file, in file order.
 
     ``#`` starts a comment.  Only the given keys are accepted, by exact
     name; an underscore in a key is a hyphen in its flag.
@@ -56,7 +57,7 @@ def read_config_file(path: str, keys) -> list[str]:
                     raise ConfigError(
                         f"{path}:{lineno}: unknown key {key!r}; expected one of {sorted(keys)}"
                     )
-                flags.append(f"--{key.replace('_', '-')}={value.strip()}")
+                flags.append((lineno, f"--{key.replace('_', '-')}={value.strip()}"))
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
     return flags

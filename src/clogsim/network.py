@@ -59,6 +59,11 @@ class Network:
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
+    @property
+    def owner(self) -> np.ndarray:
+        """``owner[k]`` is the node whose neighbor list holds ``indices[k]``."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+
 
 def from_edges(n: int, edges) -> Network:
     """Build a Network from (u, v) pairs: an iterable or an (E, 2) array.
@@ -164,7 +169,8 @@ def generate_pa_network(n: int, attach_count: int, rng: np.random.Generator) -> 
             # node drew a duplicate: replay the stream up to its first
             # draw, then redraw its targets one at a time.
             bits.state = snapshot
-            rng.integers(0, batch[: (node - first) * a])
+            if node > first:
+                rng.integers(0, batch[: (node - first) * a])
             targets = set()
             while len(targets) < a:
                 targets.add(repeated[rng.integers(len(repeated))])
@@ -187,10 +193,9 @@ def generate_pa_network(n: int, attach_count: int, rng: np.random.Generator) -> 
 
 
 def _bfs(net: Network, source: int) -> np.ndarray:
-    # Hop distance from source, -1 where unreachable.  owner[k] is the node
-    # whose neighbor list holds indices[k], so indices[frontier[owner]] are
-    # all neighbors of the frontier, duplicates included.
-    owner = np.repeat(np.arange(net.n), net.degrees)
+    # Hop distance from source, -1 where unreachable.  indices[frontier[owner]]
+    # are all neighbors of the frontier, duplicates included.
+    owner = net.owner
     dist = np.full(net.n, -1, dtype=np.int64)
     dist[source] = 0
     frontier = dist == 0
@@ -231,6 +236,6 @@ def find_node_with_degree(net: Network, target_degree: int, rng: np.random.Gener
 
 def edge_array(net: Network) -> np.ndarray:
     """Edges as an (E, 2) array with src < dst, sorted; for CSV export."""
-    src = np.repeat(np.arange(net.n, dtype=np.int64), net.degrees)
+    src = net.owner
     keep = src < net.indices
     return np.column_stack([src[keep], net.indices[keep]])

@@ -207,6 +207,27 @@ class TestSweep:
         runs = list(csv.reader(open(tmp_path / "runs.csv")))
         assert len(runs) - 1 == 2
 
+    def test_bad_config_value_names_file_line_and_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("scenario=unbiased\nruns=ten\n")
+        code, _, err = run_cli(
+            capsys, "sweep", "--config", str(cfg), "--phi", "75", "--degrees", "2",
+            "--seed", "4", "--n", "64", "--max-iters", "50", "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert "bad.cfg:2: argument --runs: invalid int value: 'ten'" in err
+        assert not (tmp_path / "cells.csv").exists()
+        assert not (tmp_path / "runs.csv").exists()
+
+    def test_bad_config_choice_names_file_line(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# grid\nphi=75\nscenario=plaza\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--seed", "4",
+                               "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "bad.cfg:3: argument --scenario: invalid choice: 'plaza'" in err
+        assert not (tmp_path / "cells.csv").exists()
+
     def test_all_failed_cell_exit_2(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "sweep", "--scenario", "random", "--phi", "60",
@@ -350,3 +371,15 @@ class TestTopLevel:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--seed" in out and "--out-dir" in out
+
+    @pytest.mark.parametrize("command", ["fn", "run", "sweep"])
+    def test_help_prints_only_real_defaults(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "default: None" not in out and "default: False" not in out
+        if command == "sweep":
+            assert "runs per (phi, degree) cell (default: 100)" in out
+            assert "(default and maximum: all cores)" in out
+        if command == "run":
+            assert "cycle cap per run (default: 10000)" in out

@@ -297,12 +297,14 @@ def same_bits(a, b):
 
 # Exact endpoints, values within 1e-12 of 1 and subnormals, beside the bulk.
 kernel_probs = st.one_of(
-    st.sampled_from([0.0, 1.0]),
+    st.sampled_from([0.0, 1.0, 0.5]),
     probs,
     st.floats(min_value=1.0 - 1e-12, max_value=1.0),
     st.floats(min_value=0.0, max_value=2.2250738585072014e-308, allow_subnormal=True),
 )
 kernel_angles = st.one_of(angles_clog, st.just(89.9999))
+# A signed zero bias meets the zero drift of m = 0.5.
+kernel_biases = st.one_of(st.just(-0.0), biases)
 
 
 class TestKernelReference:
@@ -311,8 +313,8 @@ class TestKernelReference:
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_masked_kernel(self, phi, m, data):
         m = np.array(m)
-        beta = data.draw(biases)
-        betas = np.array(data.draw(st.lists(biases, min_size=m.size, max_size=m.size)))
+        beta = data.draw(kernel_biases)
+        betas = np.array(data.draw(st.lists(kernel_biases, min_size=m.size, max_size=m.size)))
         tau = phi_to_tau(phi, "clog")
         expected = reference_clog_kernel(m, tau, beta)
         assert same_bits(production_rule(phi, beta)(m), expected)

@@ -38,8 +38,8 @@ def pair():
 def cycle(m, net, phi_deg, beta, alpha, rng):
     """One cycle of ``dynamics._cycle``: (next states, signals, probabilities)."""
     inv_deg = 1.0 / net.degrees.astype(np.float64)
-    return dynamics._cycle(m, production_rule(phi_deg, beta), net.indptr, net.indices,
-                           inv_deg, alpha, rng)[:3]
+    return dynamics._cycle(m, rng.random(net.n), production_rule(phi_deg, beta), net.owner,
+                           net.indices, inv_deg, alpha, 1.0 - alpha)[:3]
 
 
 class TestInitState:
@@ -335,6 +335,52 @@ class TestAbsorbingExit:
             outcome, skipped = assert_same_run(net, 0, 90.0, beta, np.random.default_rng(seed),
                                                max_iters, start=start)
         assert not skipped or outcome.terminated_by == MAX_ITERATIONS
+
+
+# On up to 128 nodes, uniform blocks of 8, 16, 32 and 64 rows end after
+# cycles 8, 24, 56 and 120.
+STOPS_AROUND_BLOCK_ENDS = [1, 7, 8, 9, 23, 24, 25, 119, 120, 121]
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("stop", STOPS_AROUND_BLOCK_ENDS)
+    def test_consensus_inside_and_at_block_ends(self, monkeypatch, stop):
+        # At phi = 60 with beta = 0.5, a state x emits 1 with probability
+        # about x/20, so with these seeds no signal fires and every state
+        # shrinks by 0.9 a cycle.  Starting at 1e-8 / 0.9**(stop - 0.5), the states
+        # first fall below the consensus bound at cycle ``stop``.
+        net = generate_pa_network(16, 2, np.random.default_rng(stop))
+        start = np.full(16, CONSENSUS_EPS / 0.9 ** (stop - 0.5))
+        monkeypatch.setattr(dynamics, "_initial_state", lambda n, innovator: start.copy())
+        outcome, skipped = assert_same_run(net, 0, 60.0, 0.5, np.random.default_rng(stop),
+                                           1000, start=start)
+        assert (outcome.t_final, outcome.terminated_by) == (stop, CONSENSUS_ZERO)
+        assert not skipped
+
+    @pytest.mark.parametrize("settle", STOPS_AROUND_BLOCK_ENDS)
+    def test_step_rule_settles_inside_and_at_block_ends(self, monkeypatch, settle):
+        # Pair a - b at phi = 90.  a starts at 0.5 and emits 1 while its
+        # state 0.5 * 0.9**(t - 1) exceeds its threshold 0.5 * 0.9**(settle
+        # - 1.5); b's threshold is 1, so b emits 0 and hears a's 1 exactly
+        # on its threshold.  Nothing is settled until a emits 0, from cycle
+        # ``settle`` on; the fast-forward then decays both to consensus.
+        net = pair()
+        beta = np.array([0.5 * 0.9 ** (settle - 1.5) - 0.5, 0.5])
+        start = np.array([0.5, 0.0])
+        monkeypatch.setattr(dynamics, "_initial_state", lambda n, innovator: start.copy())
+        checks = []  # one _settled call per full cycle
+        settled = dynamics._settled
+
+        def recording_settled(*args):
+            checks.append(settled(*args))
+            return checks[-1]
+
+        monkeypatch.setattr(dynamics, "_settled", recording_settled)
+        outcome, skipped = assert_same_run(net, 0, 90.0, beta, np.random.default_rng(settle),
+                                           1000, start=start)
+        assert checks.index(True) + 1 == settle
+        assert outcome.terminated_by == CONSENSUS_ZERO
+        assert not skipped
 
 
 class TestNeutralMartingale:
