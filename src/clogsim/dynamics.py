@@ -118,8 +118,10 @@ def _initial_state(n: int, innovator: int) -> np.ndarray:
 _FIRST_BLOCK = 8
 _MAX_BLOCK = 64
 # At most this many uniforms (64 KiB) per block.  Blocks of 128 KiB, 64
-# rows of 256 nodes, raised the peak RSS of a sweep worker by about 0.4 MB;
-# with 64 KiB blocks it matched that of drawing one row per cycle.
+# rows of 256 nodes, raised the peak RSS of a sweep worker by about 0.4 MB
+# over the earlier code, which drew one row per cycle.  With 64 KiB blocks
+# it is 0.1-0.2 MB above that code, as was a variant of this module that
+# drew one row per cycle, so the blocks are not the rest's source.
 _MAX_DRAW = 8192
 
 

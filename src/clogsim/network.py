@@ -2,7 +2,7 @@
 
 A network is an undirected simple graph stored in compressed sparse row
 form (``indptr``/``indices``), which keeps the simulation's per-cycle
-neighbor averaging a single ``add.reduceat``.  :func:`from_edges` is the
+neighbor sums a single ``bincount``.  :func:`from_edges` is the
 one CSR builder and validator: numpy checks every edge, and a single sort
 of the directed edge keys lays out the rows.
 
@@ -10,21 +10,23 @@ Generation follows the classic growth process: a small complete seed,
 then each arriving node links to ``attach_count`` distinct existing nodes
 chosen with probability proportional to current degree.  With
 attach_count = 2 on 256 nodes this gives 509 edges, i.e. average degree
-just under 4.  The bound of every draw is known in advance, so a batch of
-nodes draws its targets with one ``rng.integers`` call over per-element
-bounds, consuming the stream exactly as one scalar call per target; a
-duplicate target rewinds the stream, replays it up to the node that drew
-it and redraws that node scalar-wise.  Networks and the generator's state
-after growth are therefore the same as with scalar draws.
+just under 4.  A node's targets are drawn from raw 32-bit words, as
+numpy's bounded ``rng.integers`` turns a word into an index, so networks
+and the generator's state after growth are the same as with one scalar
+call per target.  A grown network's CSR arrays are built, and its
+connectivity checked, only when something reads them: a network that is
+only asked for its degrees, such as one rejected for lacking a node of
+the wanted degree, never pays for them.
 
 Hop distances come from a level-synchronous frontier BFS over the CSR
 arrays: each level marks all unvisited neighbors of the frontier at once.
-The connectivity check of every generated network is the same BFS.
+The connectivity check of every grown network that is read is the same
+BFS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,19 +40,52 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Network:
     """Immutable undirected simple graph in CSR form.
 
     ``indices[indptr[i]:indptr[i+1]]`` lists the neighbors of node i in
     ascending order.  Treat the arrays as read-only; runs share networks
     freely across processes.
+
+    A network from :func:`generate_pa_network` holds its degrees and its
+    degree-unit list; :func:`from_edges` builds its ``indptr`` and
+    ``indices``, and its connectivity is checked, on their first read.
     """
 
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    degrees: np.ndarray
+    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray, degrees: np.ndarray):
+        vars(self).update(n=n, indptr=indptr, indices=indices, degrees=degrees)
+
+    @classmethod
+    def _grown(cls, n: int, degrees: np.ndarray, units: np.ndarray, attach_count: int) -> Network:
+        net = cls.__new__(cls)
+        vars(net).update(n=n, degrees=degrees, _units=units, _attach_count=attach_count)
+        return net
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Network is immutable")
+
+    @cached_property
+    def _checked(self) -> Network:
+        """A grown network's CSR form, built and checked for connectivity."""
+        # Row v - seed_size of grown holds v's targets, then a copies of v.
+        a = self._attach_count
+        seed_size = a + 1
+        grown = self._units[seed_size * a :].reshape(-1, 2, a)
+        net = from_edges(self.n, np.concatenate([
+            np.array([(i, j) for i in range(seed_size) for j in range(i + 1, seed_size)]),
+            np.column_stack([grown[:, 1].ravel(), grown[:, 0].ravel()]),
+        ]))
+        if not _is_connected(net):
+            raise RuntimeError("preferential attachment produced a disconnected graph")
+        return net
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        return self._checked.indptr
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        return self._checked.indices
 
     @property
     def edge_count(self) -> int:
@@ -108,10 +143,26 @@ def from_edges(n: int, edges) -> Network:
     return Network(n=n, indptr=indptr, indices=directed % n, degrees=degrees)
 
 
-# Nodes whose targets one ``rng.integers`` call draws.  A duplicate target
-# makes the batch's later draws void, so shorter batches waste fewer draws
-# and longer ones make fewer calls; 64 was the fastest of 16 to 256 on
-# 256 nodes with attach_count 2.
+def _word_targets(words: np.ndarray, bounds: np.ndarray, rejects: np.ndarray):
+    """What ``rng.integers(0, bounds)`` makes of raw 32-bit ``words``.
+
+    numpy draws below a bound b < 2**32 by Lemire's method: a word w gives
+    the index ``(w * b) >> 32``, unless the low 32 bits of ``w * b`` fall
+    below ``rejects = 2**32 % b``; then numpy rejects w and draws another
+    word for the same bound.  ``rng.integers(0, 2**32)`` returns these
+    words, a buffered half of a 64-bit output first.  All three arrays
+    are int64, and bounds below 2**31 keep ``w * b`` exact.  Returns the
+    indices as a list and the rejected mask.
+    """
+    m = words * bounds
+    return (m >> 32).tolist(), m % (1 << 32) < rejects
+
+
+# Nodes whose targets one multiply turns from words into indices.  A
+# duplicate target, seven to nine per 256-node network at attach_count 2,
+# or a rejected word voids the batch's later indices: shorter batches
+# convert fewer words in vain, longer ones make fewer numpy calls.  32
+# and 64 were the fastest of 16 to 256 on 256 nodes with attach_count 2.
 _BATCH_NODES = 64
 
 
@@ -124,36 +175,53 @@ def generate_pa_network(n: int, attach_count: int, rng: np.random.Generator) -> 
     so the graph stays simple.  The result is connected with minimum
     degree attach_count.
 
-    Draws come in batches of nodes, one ``rng.integers(0, bounds)`` call
-    per batch with each target's own bound.  When a node draws a duplicate
-    target, the generator's state is restored to the batch start, one
-    array call replays the draws of the nodes before it, and the node
-    draws its targets one at a time; the next batch starts after it.
-    The stream is consumed exactly as by one scalar call per target, so
-    the network and the generator's state afterwards do not depend on
-    the batching.
+    Targets are drawn from raw 32-bit words as ``rng.integers(0, b)``
+    draws them (see :func:`_word_targets`).  Every target takes at least
+    one word, so one call draws a word per target up front, and another a
+    word per target still to draw whenever the words run out: the stream
+    is consumed exactly as by one scalar call per target, and the network
+    and the generator's state afterwards are the same.  A batch of
+    targets turns its words into indices with one multiply; a duplicate
+    target or a rejected word ends the batch, and the next one starts at
+    the word after it.
+
+    The returned network carries its degrees; its CSR arrays are built,
+    and its connectivity checked, on their first read.
     """
     if attach_count < 1:
         raise ValueError(f"attach_count must be at least 1, got {attach_count!r}")
     if n < attach_count + 1:
         raise ValueError(f"need n >= attach_count + 1, got n={n!r}, attach_count={attach_count!r}")
+    if n * attach_count >= 1 << 30:
+        # Keeps every bound below 2**31, and so _word_targets exact.
+        raise ValueError(f"need n * attach_count < 2**30, got n={n!r}, attach_count={attach_count!r}")
 
     a = attach_count
     seed_size = a + 1
     # One entry per unit of degree; drawing an index uniformly from this
     # list is a degree-proportional draw over nodes.  Each arriving node
     # appends its sorted targets, then a copies of itself, so node v draws
-    # from the first a * (2v - seed_size) entries: bounds[v*a : (v+1)*a].
+    # from the first a * (2v - seed_size) entries: the bound of its
+    # targets bounds[(v - seed_size) * a : (v - seed_size + 1) * a].
     repeated = [i for i in range(seed_size) for _ in range(a)]
-    bounds = np.repeat(a * (2 * np.arange(n) - seed_size), a)
-    bits = rng.bit_generator
-    node = seed_size
-    while node < n:
-        first, end = node, min(n, node + _BATCH_NODES)
-        batch = bounds[first * a : end * a]
-        snapshot = bits.state
-        draws = rng.integers(0, batch).tolist()
-        targets = []
+    bounds = np.repeat(a * (2 * np.arange(seed_size, n) - seed_size), a)
+    rejects = (1 << 32) % bounds
+
+    words, pos = np.zeros(0, dtype=np.int64), 0
+    node, slot, targets = seed_size, 0, []
+    while slot < bounds.size:
+        # slot is the next target's index into bounds; targets holds the
+        # ones node has drawn so far.
+        k = min(_BATCH_NODES * a, bounds.size - slot)
+        if words.size - pos < k:
+            # One word per target left, counting the words in hand.
+            more = rng.integers(0, 1 << 32, size=bounds.size - slot - words.size + pos)
+            words, pos = np.concatenate([words[pos:], more]), 0
+        draws, rejected = _word_targets(
+            words[pos : pos + k], bounds[slot : slot + k], rejects[slot : slot + k]
+        )
+        if rejected.any():
+            del draws[int(rejected.argmax()) :]
         for d in draws:
             t = repeated[d]
             if t in targets:
@@ -165,31 +233,17 @@ def generate_pa_network(n: int, attach_count: int, rng: np.random.Generator) -> 
                 repeated += [node] * a
                 node += 1
                 targets = []
-        if node < end:
-            # node drew a duplicate: replay the stream up to its first
-            # draw, then redraw its targets one at a time.
-            bits.state = snapshot
-            if node > first:
-                rng.integers(0, batch[: (node - first) * a])
-            targets = set()
-            while len(targets) < a:
-                targets.add(repeated[rng.integers(len(repeated))])
-            repeated += sorted(targets)
-            repeated += [node] * a
-            node += 1
+        done = (node - seed_size) * a + len(targets)
+        # A duplicate target or a rejected word is one more word used; the
+        # next batch starts at the word after it, with the same target.
+        pos += done - slot + (done - slot < k)
+        slot = done
 
-    # Row v - seed_size of grown holds v's targets, then a copies of v.
-    grown = np.array(repeated, dtype=np.int64)[seed_size * a :].reshape(-1, 2, a)
-    edges = np.concatenate([
-        np.array([(i, j) for i in range(seed_size) for j in range(i + 1, seed_size)]),
-        np.column_stack([grown[:, 1].ravel(), grown[:, 0].ravel()]),
-    ])
-    net = from_edges(n, edges)
-    if int(net.degrees.min()) < attach_count:
+    units = np.fromiter(repeated, dtype=np.int64, count=len(repeated))
+    degrees = np.bincount(units, minlength=n)
+    if int(degrees.min()) < attach_count:
         raise RuntimeError("preferential attachment produced a degree below attach_count")
-    if not _is_connected(net):
-        raise RuntimeError("preferential attachment produced a disconnected graph")
-    return net
+    return Network._grown(n, degrees, units, attach_count)
 
 
 def _bfs(net: Network, source: int) -> np.ndarray:

@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clogsim import network
+from clogsim.montecarlo import SweepSpec, execute_run
 from clogsim.network import (
     Network,
     _is_connected,
+    _word_targets,
     bfs_distances,
     edge_array,
     find_node_with_degree,
     from_edges,
     generate_pa_network,
 )
+from clogsim.scenarios import ScenarioConfig
 
 
 def triangle():
@@ -147,6 +151,8 @@ class TestGeneratePA:
             generate_pa_network(2, 2, rng)
         with pytest.raises(ValueError):
             generate_pa_network(10, 0, rng)
+        with pytest.raises(ValueError, match="2\\*\\*30"):
+            generate_pa_network(2**29, 2, rng)
 
 
 def reference_pa_network(n, attach_count, rng):
@@ -179,7 +185,11 @@ def reference_pa_network(n, attach_count, rng):
 
 
 def assert_same_growth(n, attach_count, seed):
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    return assert_grows_alike(n, attach_count, np.random.default_rng(seed),
+                              np.random.default_rng(seed))
+
+
+def assert_grows_alike(n, attach_count, rng, ref_rng):
     net = generate_pa_network(n, attach_count, rng)
     ref, draws = reference_pa_network(n, attach_count, ref_rng)
     for field in ("indptr", "indices", "degrees"):
@@ -197,7 +207,8 @@ class TestBatchedGrowthMatchesReference:
 
     def test_duplicate_replay(self):
         # The reference run at this seed redraws a duplicate at seven nodes,
-        # 15 and 16 among them, so one replay starts right after another.
+        # 15 and 16 among them, so one batch of words starts right after
+        # the duplicate that ended another.
         draws = assert_same_growth(256, 2, 20260810)
         assert draws > 2 * (256 - 3)
 
@@ -205,6 +216,120 @@ class TestBatchedGrowthMatchesReference:
         # Growth spans many batches of draws.
         for seed in range(3):
             assert_same_growth(700, 2, seed)
+
+    def test_buffered_word(self):
+        # A bounded draw below 2**32 leaves half of a 64-bit output in the
+        # generator, and the first word of growth must be that half.
+        for seed in range(5):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            rng.integers(0, 7)
+            ref_rng.integers(0, 7)
+            assert rng.bit_generator.state["has_uint32"]
+            assert_grows_alike(256, 2, rng, ref_rng)
+
+    def test_networks_back_to_back(self):
+        # As in prepare_run's regeneration: each network starts where the
+        # one before left the generator, with or without a buffered word.
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        buffered = []
+        for _ in range(12):
+            buffered.append(rng.bit_generator.state["has_uint32"])
+            assert_grows_alike(256, 2, rng, ref_rng)
+        assert 0 < sum(buffered) < len(buffered)
+
+    def test_rejected_word(self):
+        # At this seed numpy's bounded draw rejects one word of the growth
+        # and draws another for the same target.
+        assert_same_growth(700, 2, 2270)
+
+
+class TestNumpyBoundedDraw:
+    """Growth relies on numpy drawing ``rng.integers(0, b)``, b < 2**32, by
+    Lemire's method on raw 32-bit words; a numpy that draws otherwise
+    fails here."""
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("bound", [3, 1018, 2**32 // 3 + 1])
+    def test_words_give_numpy_draws(self, bound, buffered):
+        # With bound 2**32 // 3 + 1, numpy rejects a third of the words.
+        count = 400
+        rng, by_array, by_scalar = (np.random.default_rng(11) for _ in range(3))
+        if buffered:
+            for g in (rng, by_array, by_scalar):
+                g.integers(0, 7)
+        got, rejections = [], 0
+        while len(got) < count:
+            # One word per draw still to make: never more than are used.
+            words = rng.integers(0, 1 << 32, size=count - len(got))
+            bounds = np.full(words.size, bound)
+            draws, rejected = _word_targets(words, bounds, (1 << 32) % bounds)
+            got += [d for d, r in zip(draws, rejected.tolist()) if not r]
+            rejections += int(rejected.sum())
+        assert got == by_array.integers(0, np.full(count, bound)).tolist()
+        assert got == [int(by_scalar.integers(bound)) for _ in range(count)]
+        assert rng.bit_generator.state == by_array.bit_generator.state
+        assert rng.bit_generator.state == by_scalar.bit_generator.state
+        if bound > 2**30:
+            assert rejections > count // 8
+
+
+@pytest.fixture
+def connectivity_checks(monkeypatch):
+    """Networks passed to ``network._is_connected``, which still runs."""
+    checked = []
+    real = network._is_connected
+
+    def counted(net):
+        checked.append(net)
+        return real(net)
+
+    monkeypatch.setattr(network, "_is_connected", counted)
+    return checked
+
+
+class TestCsrOnRead:
+    def test_degrees_need_no_csr(self, connectivity_checks):
+        rng = np.random.default_rng(12)
+        net = generate_pa_network(256, 2, rng)
+        assert int(net.degrees.sum()) == 2 * 509
+        assert find_node_with_degree(net, 2, rng) is not None
+        assert find_node_with_degree(net, 200, rng) is None
+        assert connectivity_checks == []
+
+    def test_first_read_builds_and_checks_once(self, connectivity_checks):
+        net = generate_pa_network(256, 2, np.random.default_rng(13))
+        indices = net.indices
+        assert len(connectivity_checks) == 1
+        assert net.indices is indices
+        net.indptr, net.neighbors(5), net.edge_count, edge_array(net)
+        assert len(connectivity_checks) == 1
+
+    def test_disconnected_read_raises(self, monkeypatch):
+        monkeypatch.setattr(network, "_is_connected", lambda net: False)
+        net = generate_pa_network(64, 2, np.random.default_rng(14))
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="disconnected"):
+                net.indices
+        with pytest.raises(RuntimeError, match="disconnected"):
+            net.indptr
+
+    def test_one_check_per_run(self, connectivity_checks):
+        # Degree 44 is rare on 256 nodes: a run grows many networks and
+        # reads the CSR of the one it simulates.
+        spec = SweepSpec(scenario=ScenarioConfig(kind="neutral", phi_deg=45.0),
+                         phi_list=(45.0,), degree_list=(44,), runs_per_cell=2,
+                         master_seed=20260810)
+        records = [execute_run(spec, 45.0, 44, i) for i in range(2)]
+        assert not any(r.failed for r in records)
+        assert sum(r.regen_attempts for r in records) > 2 * len(records)
+        assert len(connectivity_checks) == len(records)
+
+    def test_network_is_immutable(self):
+        net = generate_pa_network(16, 2, np.random.default_rng(15))
+        with pytest.raises(AttributeError):
+            net.n = 3
+        with pytest.raises(AttributeError):
+            triangle().indices = np.arange(6)
 
 
 class TestBfsDistances:
