@@ -21,8 +21,6 @@ from .decision import (
 )
 from .dynamics import RunOutcome, run_to_completion, simulate_run
 from .montecarlo import (
-    CellResult,
-    RunRecord,
     SweepSpec,
     conditional_degree_distribution,
     empirical_degree_pmf,
@@ -69,8 +67,6 @@ __all__ = [
     "allocate_biases",
     "scenario_biases",
     "SweepSpec",
-    "RunRecord",
-    "CellResult",
     "mix_seed",
     "execute_run",
     "execute_sweep",

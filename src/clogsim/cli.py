@@ -183,7 +183,7 @@ def _add_sweep_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--config", default=None,
                    help="file of key=value lines, read as flags that precede the others")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default and maximum: all cores)")
+                   help="worker processes (default and maximum: the cores this process may use)")
     p.add_argument("--out-dir", default=".")
 
 
@@ -324,7 +324,7 @@ def _cmd_sweep(args) -> int:
     cells_path, runs_path = write_sweep_outputs(cells, records, spec.scenario.kind, args.out_dir)
 
     total = len(records)
-    failures = sum(r.failed for r in records)
+    failures = np.count_nonzero(records.failed)
     print(f"cells={len(cells)} runs={total} regen_failures={failures} "
           f"wrote {cells_path} {runs_path}")
     dead_cells = [c for c in cells if c.runs == 0]

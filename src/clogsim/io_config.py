@@ -18,9 +18,11 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import astuple, fields
+from itertools import repeat
 
-from .montecarlo import CellResult
+import numpy as np
+
+from .dynamics import COMPLETION_MIN, DOMINANCE_MIN, SURVIVAL_MIN
 
 __all__ = [
     "ConfigError",
@@ -101,12 +103,13 @@ def write_csv(path: str | None, header, rows) -> None:
         raise OSError(f"cannot write {path}: {e}") from e
 
 
-CELLS_HEADER = tuple(f.name for f in fields(CellResult))
 RUNS_HEADER = ("scenario", "phi_deg", "degree", "run_index", "mbar_final", "t_final", "outcome")
 
 
 def write_sweep_outputs(cells, records, scenario_kind: str, out_dir: str):
-    """Write cells.csv and runs.csv; returns their paths."""
+    """Write cells.csv and runs.csv from the record arrays ``execute_sweep``
+    returns; returns their paths.  A run's outcome is the furthest
+    threshold its ``mbar_final`` reached, or ``regen_failure``."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as e:
@@ -114,11 +117,17 @@ def write_sweep_outputs(cells, records, scenario_kind: str, out_dir: str):
     cells_path = os.path.join(out_dir, "cells.csv")
     runs_path = os.path.join(out_dir, "runs.csv")
 
-    def run_row(r):
-        t_final = None if r.failed else r.t_final
-        return (scenario_kind, r.phi_deg, r.degree, r.run_index, r.mbar_final, t_final,
-                r.outcome_label)
+    failed, mbar = records["failed"], records["mbar_final"]
+    outcome = np.select(
+        [failed, mbar >= COMPLETION_MIN, mbar >= DOMINANCE_MIN, mbar > SURVIVAL_MIN],
+        ["regen_failure", "completion", "dominance", "survival"],
+        "extinction",
+    )
+    t_final = records["t_final"].astype(object)
+    t_final[failed] = None
+    columns = (records["phi_deg"], records["degree"], records["run_index"],
+               mbar, t_final, outcome)
 
-    write_csv(cells_path, CELLS_HEADER, (astuple(c) for c in cells))
-    write_csv(runs_path, RUNS_HEADER, (run_row(r) for r in records))
+    write_csv(cells_path, cells.dtype.names, cells.tolist())
+    write_csv(runs_path, RUNS_HEADER, zip(repeat(scenario_kind), *(c.tolist() for c in columns)))
     return cells_path, runs_path

@@ -12,20 +12,19 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
-from itertools import product
 
 import numpy as np
 
-from .dynamics import RunOutcome, run_to_completion
+from .dynamics import COMPLETION_MIN, DOMINANCE_MIN, SURVIVAL_MIN, run_to_completion
 from .network import find_node_with_degree, generate_pa_network
 from .scenarios import KINDS, ScenarioConfig, scenario_biases
 
 __all__ = [
     "SweepSpec",
-    "RunRecord",
-    "CellResult",
+    "RUN_DTYPE",
+    "CELL_DTYPE",
     "mix_seed",
     "prepare_run",
     "execute_run",
@@ -79,58 +78,21 @@ class SweepSpec:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.master_seed!r}")
 
 
-def _nan_key(obj) -> tuple:
-    # NaN marks a value a run or a cell could not measure; as a key it is
-    # None, so a failed run or an empty cell equals its own replay.
-    return tuple(None if v != v else v for v in (getattr(obj, f.name) for f in fields(obj)))
-
-
-def _nan_eq(self, other):
-    if type(other) is not type(self):
-        return NotImplemented
-    return _nan_key(self) == _nan_key(other)
-
-
-def _nan_hash(self):
-    return hash(_nan_key(self))
-
-
-@dataclass(frozen=True)
-class RunRecord(RunOutcome):
-    """One run's coordinates and its RunOutcome fields; ``failed`` marks a
-    run whose target innovator degree never appeared within the
-    regeneration limit (its ``mbar_final`` is NaN, so no flag is set)."""
-
-    phi_deg: float
-    degree: int
-    run_index: int
-    seed: int
-    failed: bool
-    regen_attempts: int
-
-    __eq__ = _nan_eq
-    __hash__ = _nan_hash
-
-    @property
-    def outcome_label(self) -> str:
-        return "regen_failure" if self.failed else super().outcome_label
-
-
-@dataclass(frozen=True)
-class CellResult:
-    phi_deg: float
-    innovator_degree: int
-    runs: int
-    n_survival: int
-    n_dominance: int
-    n_completion: int
-    mean_mbar_final: float
-    sd_mbar_final: float
-    mean_t_final: float
-    n_regen_failures: int
-
-    __eq__ = _nan_eq
-    __hash__ = _nan_hash
+# A sweep's results: one row per run and one per cell, in grid order.  A
+# run row holds its coordinates, seed, networks grown and RunOutcome fields;
+# ``failed`` marks a run whose innovator degree never appeared within the
+# regeneration limit (NaN ``mbar_final``, ``t_final`` -1).  The cell
+# fields are the cells.csv header, in order.
+RUN_DTYPE = np.dtype((np.record, [
+    ("phi_deg", "f8"), ("degree", "i8"), ("run_index", "i8"), ("seed", "u8"),
+    ("regen_attempts", "i8"), ("failed", "?"), ("mbar_final", "f8"), ("t_final", "i8"),
+    ("terminated_by", "U14"),
+]))
+CELL_DTYPE = np.dtype((np.record, [
+    ("phi_deg", "f8"), ("innovator_degree", "i8"), ("runs", "i8"), ("n_survival", "i8"),
+    ("n_dominance", "i8"), ("n_completion", "i8"), ("mean_mbar_final", "f8"),
+    ("sd_mbar_final", "f8"), ("mean_t_final", "f8"), ("n_regen_failures", "i8"),
+]))
 
 
 _MASK64 = (1 << 64) - 1
@@ -195,8 +157,8 @@ def prepare_run(
     return seed, rng, None, None, regen_limit, None
 
 
-def execute_run(spec: SweepSpec, phi_deg: float, degree: int, run_index: int) -> RunRecord:
-    """One fully deterministic run at the given grid coordinates."""
+def execute_run(spec: SweepSpec, phi_deg: float, degree: int, run_index: int) -> np.record:
+    """One fully deterministic run at the given grid coordinates: a RUN_DTYPE row."""
     if phi_deg not in spec.phi_list:
         raise ValueError(f"phi {phi_deg!r} is not on the sweep grid")
     if degree not in spec.degree_list:
@@ -208,21 +170,23 @@ def execute_run(spec: SweepSpec, phi_deg: float, degree: int, run_index: int) ->
     seed, rng, net, innovator, attempts, beta = prepare_run(
         config, spec.master_seed, run_index, spec.regen_limit
     )
-    coords = dict(phi_deg=float(phi_deg), degree=int(degree), run_index=int(run_index),
-                  seed=seed, regen_attempts=attempts)
+    row = (float(phi_deg), int(degree), int(run_index), seed, attempts)
     if net is None:
-        return RunRecord(**coords, failed=True, mbar_final=float("nan"), t_final=-1,
-                         terminated_by="")
-    outcome = run_to_completion(
-        net, innovator, config.phi_deg, beta, rng,
-        alpha=config.alpha, max_iters=config.max_iters,
-    )
-    return RunRecord(**coords, failed=False, **vars(outcome))
+        row += (True, np.nan, -1, "")
+    else:
+        outcome = run_to_completion(
+            net, innovator, config.phi_deg, beta, rng,
+            alpha=config.alpha, max_iters=config.max_iters,
+        )
+        row += (False, outcome.mbar_final, outcome.t_final, outcome.terminated_by)
+    return np.array(row, dtype=RUN_DTYPE)[()]
 
 
 def worker_count(workers: int | None) -> int:
-    """Worker processes for a sweep: all cores by default, never more."""
-    cores = os.cpu_count() or 1
+    """Worker processes for a sweep: one per CPU this process may run on
+    by default, never more."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     if workers is None:
         return cores
     if workers < 1:
@@ -231,7 +195,7 @@ def worker_count(workers: int | None) -> int:
 
 
 def execute_sweep(spec: SweepSpec, workers: int | None = None):
-    """Execute the full grid; returns (cells, records).
+    """Execute the full grid; returns (cells, records) as record arrays.
 
     Runs are independent and may execute on any number of workers (at
     most one per core and one per run); records are kept in grid order,
@@ -248,17 +212,18 @@ def execute_sweep(spec: SweepSpec, workers: int | None = None):
     run = partial(execute_run, spec)
 
     if workers == 1:
-        records = [run(*c) for c in tasks]
+        rows = [run(*c) for c in tasks]
     else:
         chunk = max(1, len(tasks) // (workers * 8))
         with multiprocessing.Pool(workers) as pool:
-            records = pool.starmap(run, tasks, chunksize=chunk)
+            rows = pool.starmap(run, tasks, chunksize=chunk)
 
+    records = np.array(rows, dtype=RUN_DTYPE).view(np.recarray)
     return aggregate_cells(spec, records), records
 
 
-def aggregate_cells(spec: SweepSpec, records) -> list[CellResult]:
-    """Per-cell counts and moments, in grid order.
+def aggregate_cells(spec: SweepSpec, records) -> np.recarray:
+    """Per-cell counts and moments, in grid order, as a CELL_DTYPE array.
 
     ``records`` must be in the grid order :func:`execute_sweep` returns:
     phi outermost, then degree, then run index, ``spec.runs_per_cell``
@@ -266,25 +231,26 @@ def aggregate_cells(spec: SweepSpec, records) -> list[CellResult]:
     only; regeneration failures are counted separately.  The sample SD
     needs two runs and the means one, otherwise they are NaN.
     """
-    runs = spec.runs_per_cell
-    cells = []
-    for k, (phi, d) in enumerate(product(spec.phi_list, spec.degree_list)):
-        recs = records[k * runs:(k + 1) * runs]
-        done = [r for r in recs if not r.failed]
-        mbar = np.array([r.mbar_final for r in done])
-        tfin = np.array([r.t_final for r in done], dtype=np.float64)
-        cells.append(CellResult(
-            phi_deg=float(phi),
-            innovator_degree=int(d),
-            runs=len(done),
-            n_survival=sum(r.survival for r in done),
-            n_dominance=sum(r.dominance for r in done),
-            n_completion=sum(r.completion for r in done),
-            mean_mbar_final=float(mbar.mean()) if done else float("nan"),
-            sd_mbar_final=float(mbar.std(ddof=1)) if len(done) > 1 else float("nan"),
-            mean_t_final=float(tfin.mean()) if done else float("nan"),
-            n_regen_failures=len(recs) - len(done),
-        ))
+    phis, degrees = len(spec.phi_list), len(spec.degree_list)
+    cells = np.recarray(phis * degrees, dtype=CELL_DTYPE)
+    cells.phi_deg = np.repeat(spec.phi_list, degrees)
+    cells.innovator_degree = np.tile(spec.degree_list, phis)
+    shape = (cells.size, spec.runs_per_cell)
+    done = ~records["failed"].reshape(shape)
+    mbar = records["mbar_final"].reshape(shape)
+    tfin = records["t_final"].reshape(shape)
+    cells.runs = done.sum(axis=1)
+    cells.n_survival = (done & (mbar > SURVIVAL_MIN)).sum(axis=1)
+    cells.n_dominance = (done & (mbar >= DOMINANCE_MIN)).sum(axis=1)
+    cells.n_completion = (done & (mbar >= COMPLETION_MIN)).sum(axis=1)
+    cells.n_regen_failures = spec.runs_per_cell - cells.runs
+    for k, cell in enumerate(cells):
+        # Each cell's completed runs as one contiguous array, so its
+        # moments do not depend on the grid around it.
+        m, t = mbar[k][done[k]], tfin[k][done[k]].astype(np.float64)
+        cell.mean_mbar_final = m.mean() if m.size else np.nan
+        cell.sd_mbar_final = m.std(ddof=1) if m.size > 1 else np.nan
+        cell.mean_t_final = t.mean() if t.size else np.nan
     return cells
 
 
@@ -311,25 +277,23 @@ def conditional_degree_distribution(records, degree_pmf: np.ndarray):
     """Completion rates by innovator degree, and the Bayes inversion.
 
     Returns rows (degree, p_cascade_given_degree, p_degree_given_cascade)
-    for every degree present in ``records``.  The inversion weights each
-    degree's completion rate by the network's degree distribution and
-    normalizes; when no run completed it is undefined and reported as NaN.
+    for every degree present in the run array ``records``.  The inversion
+    weights each degree's completion rate by the network's degree
+    distribution and normalizes; when no run completed it is undefined
+    and reported as NaN.
     """
-    done = [r for r in records if not r.failed]
-    if not done:
+    done = ~records["failed"]
+    if not done.any():
         raise ValueError("no completed run records to analyze")
 
-    degrees = sorted({r.degree for r in done})
-    p_given_d = []
-    for d in degrees:
-        cell = [r for r in done if r.degree == d]
-        p_given_d.append(sum(r.completion for r in cell) / len(cell))
+    degree = records["degree"][done]
+    runs = np.bincount(degree)
+    completions = np.bincount(degree, weights=records["mbar_final"][done] >= COMPLETION_MIN)
+    degrees = np.flatnonzero(runs)
+    p_given_d = completions[degrees] / runs[degrees]
 
     prior = np.array([degree_pmf[d] if d < degree_pmf.size else 0.0 for d in degrees])
-    joint = np.array(p_given_d) * prior
+    joint = p_given_d * prior
     total = joint.sum()
     posterior = joint / total if total > 0.0 else np.full(len(degrees), np.nan)
-    return [
-        (d, float(p), float(q))
-        for d, p, q in zip(degrees, p_given_d, posterior)
-    ]
+    return list(zip(degrees.tolist(), p_given_d.tolist(), posterior.tolist()))

@@ -26,5 +26,6 @@ def serial_pool(monkeypatch):
             return [fn(*t) for t in tasks]
 
     monkeypatch.setattr(montecarlo.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
     return sizes

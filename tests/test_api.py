@@ -12,7 +12,7 @@ PUBLIC = {
     "find_node_with_degree",
     "RunOutcome", "simulate_run", "run_to_completion",
     "ScenarioConfig", "sample_neutral_biases", "allocate_biases", "scenario_biases",
-    "SweepSpec", "RunRecord", "CellResult", "mix_seed", "execute_run", "execute_sweep",
+    "SweepSpec", "mix_seed", "execute_run", "execute_sweep",
     "empirical_degree_pmf", "conditional_degree_distribution",
     "__version__",
 }

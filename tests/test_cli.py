@@ -380,6 +380,6 @@ class TestTopLevel:
         assert "default: None" not in out and "default: False" not in out
         if command == "sweep":
             assert "runs per (phi, degree) cell (default: 100)" in out
-            assert "(default and maximum: all cores)" in out
+            assert "(default and maximum: the cores this process may use)" in out
         if command == "run":
             assert "cycle cap per run (default: 10000)" in out

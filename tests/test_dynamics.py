@@ -196,7 +196,8 @@ def reference_run(net, m0, phi_deg, beta, rng, max_iters, alpha=DEFAULT_ALPHA):
     Each cycle draws every signal, sums each node's neighbour signals
     through a dense adjacency matrix and scales the sum by ``1.0/deg``.
     Sums of 0/1 signals are exact in any order, so the states round as
-    the CSR ``reduceat`` times ``1/deg`` of ``simulate_run`` does.
+    in ``simulate_run``, which sums them with one ``bincount`` over
+    ``Network.owner`` and scales by ``1/deg``.
     Returns the final states, the cycle count, the exit and the mean trace.
     """
     adj = np.zeros((net.n, net.n))

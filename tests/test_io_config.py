@@ -1,6 +1,7 @@
 import hashlib
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +14,9 @@ from clogsim.io_config import (
     write_csv,
     write_sweep_outputs,
 )
-from clogsim.montecarlo import RunRecord, execute_sweep, mix_seed
+from clogsim.dynamics import COMPLETION_MIN, DOMINANCE_MIN, SURVIVAL_MIN, RunOutcome
+from clogsim.montecarlo import RUN_DTYPE, SweepSpec, aggregate_cells, execute_sweep, mix_seed
 from clogsim.scenarios import ScenarioConfig
-from clogsim.montecarlo import SweepSpec
 
 
 class _Built(BaseException):
@@ -276,19 +277,32 @@ class TestSweepOutputs:
             assert da == db
 
     def test_failed_runs_have_blank_fields(self, tmp_path):
-        rec = RunRecord(
-            phi_deg=60.0, degree=40, run_index=0, seed=1, failed=True,
-            regen_attempts=3, mbar_final=float("nan"), t_final=-1,
-            terminated_by="",
-        )
+        records = np.array([(60.0, 40, 0, 1, 3, True, np.nan, -1, "")], dtype=RUN_DTYPE)
         spec = SweepSpec(
             scenario=ScenarioConfig(kind="random", phi_deg=60.0, n=64),
             phi_list=(60.0,), degree_list=(40,), runs_per_cell=1,
             master_seed=1, regen_limit=3,
         )
-        from clogsim.montecarlo import aggregate_cells
-
-        cells = aggregate_cells(spec, [rec])
-        _, runs_path = write_sweep_outputs(cells, [rec], "random", str(tmp_path))
+        cells = aggregate_cells(spec, records)
+        cells_path, runs_path = write_sweep_outputs(cells, records, "random", str(tmp_path))
         lines = open(runs_path).read().splitlines()
         assert lines[1] == "random,60,40,0,,,regen_failure"
+        assert open(cells_path).read().splitlines()[1] == "60,40,0,0,0,0,,,,1"
+
+    def test_outcome_labels_follow_the_thresholds(self, tmp_path):
+        # Each threshold and its neighbouring floats, labelled as a single
+        # run's RunOutcome labels them.
+        mbar = [0.0, 1.0]
+        for x in (SURVIVAL_MIN, DOMINANCE_MIN, COMPLETION_MIN):
+            mbar += [np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)]
+        records = np.array([(60.0, 2, i, 1, 1, False, m, 7, "max_iterations")
+                            for i, m in enumerate(mbar)], dtype=RUN_DTYPE)
+        spec = SweepSpec(
+            scenario=ScenarioConfig(kind="random", phi_deg=60.0, n=64),
+            phi_list=(60.0,), degree_list=(2,), runs_per_cell=len(mbar), master_seed=1,
+        )
+        cells = aggregate_cells(spec, records)
+        _, runs_path = write_sweep_outputs(cells, records, "random", str(tmp_path))
+        labels = [line.split(",")[-1] for line in open(runs_path).read().splitlines()[1:]]
+        assert labels == [RunOutcome(m, 7, "max_iterations").outcome_label for m in mbar]
+        assert labels.count("extinction") == 3 and labels.count("completion") == 3

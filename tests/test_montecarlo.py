@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from clogsim.dynamics import SURVIVAL_MIN, RunOutcome
 from clogsim.montecarlo import (
-    CellResult,
-    RunRecord,
+    CELL_DTYPE,
+    RUN_DTYPE,
     SweepSpec,
     aggregate_cells,
     conditional_degree_distribution,
@@ -27,6 +28,16 @@ def small_spec(kind="unbiased", phi_list=(75.0,), degree_list=(2,), runs=5, seed
         master_seed=seed,
         regen_limit=regen_limit,
     )
+
+
+def run_records(*rows):
+    """Runs from (phi, degree, run_index, mbar_final) tuples; a NaN
+    ``mbar_final`` marks a regeneration failure."""
+    return np.array([
+        (phi, d, i, 0, 1, True, m, -1, "") if np.isnan(m)
+        else (phi, d, i, 0, 1, False, m, 100, "max_iterations")
+        for phi, d, i, m in rows
+    ], dtype=RUN_DTYPE).view(np.recarray)
 
 
 class TestMixSeed:
@@ -54,14 +65,14 @@ class TestExecuteRun:
         spec = small_spec()
         a = execute_run(spec, 75.0, 2, 3)
         b = execute_run(spec, 75.0, 2, 3)
-        assert a == b
+        assert a.tobytes() == b.tobytes()
 
     def test_unbiased_always_extinct(self):
         spec = small_spec(kind="unbiased", phi_list=(75.0,), degree_list=(2,), runs=20)
         for i in range(20):
             rec = execute_run(spec, 75.0, 2, i)
             assert not rec.failed
-            assert rec.outcome_label == "extinction"
+            assert rec.mbar_final <= SURVIVAL_MIN
 
     def test_off_grid_coordinates_rejected(self):
         spec = small_spec()
@@ -79,9 +90,8 @@ class TestExecuteRun:
         rec = execute_run(spec, 60.0, 40, 0)
         assert rec.failed
         assert rec.regen_attempts == 3
-        assert rec.outcome_label == "regen_failure"
         assert np.isnan(rec.mbar_final)
-        assert not (rec.survival or rec.dominance or rec.completion)
+        assert (rec.t_final, rec.terminated_by) == (-1, "")
 
     def test_first_network_usually_has_degree_two(self):
         spec = small_spec(kind="random", phi_list=(60.0,), degree_list=(2,),
@@ -97,19 +107,21 @@ class TestExecuteSweep:
         cells, records = execute_sweep(spec, workers=1)
         assert len(cells) == 12
         assert len(records) == 120
+        assert records.t_final.shape == (120,) and cells.n_completion.shape == (12,)
         for c in cells:
             assert c.n_completion <= c.n_dominance <= c.n_survival <= c.runs
             assert c.runs + c.n_regen_failures == 10
 
     def test_parallel_matches_serial(self):
         # Degree 40 never appears in a 64-node network: its cell holds only
-        # regeneration failures, whose NaN means must compare equal too.
+        # regeneration failures, whose NaN means must have the same bits too.
         spec = small_spec(kind="nearby", phi_list=(60.0, 90.0), degree_list=(2, 4, 40),
                           runs=6, max_iters=1000, regen_limit=5)
         cells1, recs1 = execute_sweep(spec, workers=1)
         cells2, recs2 = execute_sweep(spec, workers=2)
-        assert cells1 == cells2
-        assert recs1 == recs2
+        assert np.isnan(cells1.mean_mbar_final[-1])
+        assert cells1.tobytes() == cells2.tobytes()
+        assert recs1.tobytes() == recs2.tobytes()
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
@@ -122,13 +134,23 @@ class TestExecuteSweep:
                           runs=2, max_iters=300)
         result = execute_sweep(spec, workers=5000)
         assert serial_pool == [3]
-        assert result == execute_sweep(spec, workers=1)
+        serial = execute_sweep(spec, workers=1)
+        assert [a.tobytes() for a in result] == [a.tobytes() for a in serial]
 
     def test_workers_clamped_to_runs(self, serial_pool):
         execute_sweep(small_spec(runs=2, max_iters=50), workers=3)
         assert serial_pool == [2]
 
     def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        assert [worker_count(w) for w in (None, 1, 3, 4, 5000)] == [3, 1, 3, 3, 3]
+        # A process pinned to one CPU of the eight gets one worker.
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {5}, raising=False)
+        assert [worker_count(w) for w in (None, 1, 2)] == [1, 1, 1]
+
+    def test_worker_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 3)
         assert [worker_count(w) for w in (None, 1, 3, 4, 5000)] == [3, 1, 3, 3, 3]
         monkeypatch.setattr("os.cpu_count", lambda: None)
@@ -176,20 +198,34 @@ class TestExecuteSweep:
 
 
 class TestAggregateCells:
-    def _rec(self, phi, degree, idx, mbar, failed=False):
-        return RunRecord(
-            phi_deg=phi, degree=degree, run_index=idx, seed=0, failed=failed,
-            regen_attempts=1, mbar_final=mbar, t_final=100, terminated_by="max_iterations",
-        )
+    def test_matches_a_loop_over_runs(self):
+        # The cells of a sweep with regeneration failures and an empty cell,
+        # bit for bit as a loop over each cell's runs gives them.
+        spec = small_spec(kind="nearby", phi_list=(60.0, 90.0), degree_list=(2, 4, 40),
+                          runs=6, max_iters=1000, regen_limit=5)
+        cells, records = execute_sweep(spec, workers=1)
+        expected = []
+        for k, (phi, d) in enumerate((p, d) for p in spec.phi_list for d in spec.degree_list):
+            block = records[k * 6:(k + 1) * 6]
+            done = [RunOutcome(r.mbar_final, r.t_final, r.terminated_by)
+                    for r in block if not r.failed]
+            mbar = np.array([o.mbar_final for o in done])
+            tfin = np.array([o.t_final for o in done], dtype=np.float64)
+            expected.append((
+                phi, d, len(done), sum(o.survival for o in done),
+                sum(o.dominance for o in done), sum(o.completion for o in done),
+                mbar.mean() if done else np.nan,
+                mbar.std(ddof=1) if len(done) > 1 else np.nan,
+                tfin.mean() if done else np.nan, 6 - len(done),
+            ))
+        assert 0 < records.failed.sum() < len(records)
+        assert cells.tobytes() == np.array(expected, dtype=CELL_DTYPE).tobytes()
 
     def test_moments_and_counts(self):
         spec = small_spec(kind="random", phi_list=(60.0,), degree_list=(2,), runs=4)
-        records = [
-            self._rec(60.0, 2, 0, 0.0),
-            self._rec(60.0, 2, 1, 0.5),
-            self._rec(60.0, 2, 2, 1.0),
-            self._rec(60.0, 2, 3, float("nan"), failed=True),
-        ]
+        records = run_records(
+            (60.0, 2, 0, 0.0), (60.0, 2, 1, 0.5), (60.0, 2, 2, 1.0), (60.0, 2, 3, np.nan),
+        )
         (cell,) = aggregate_cells(spec, records)
         assert cell.runs == 3
         assert cell.n_regen_failures == 1
@@ -200,8 +236,7 @@ class TestAggregateCells:
 
     def test_empty_cell_is_nan(self):
         spec = small_spec(kind="random", phi_list=(60.0,), degree_list=(2,), runs=1)
-        records = [self._rec(60.0, 2, 0, float("nan"), failed=True)]
-        (cell,) = aggregate_cells(spec, records)
+        (cell,) = aggregate_cells(spec, run_records((60.0, 2, 0, np.nan)))
         assert cell.runs == 0
         assert np.isnan(cell.mean_mbar_final)
         assert np.isnan(cell.sd_mbar_final)
@@ -221,14 +256,9 @@ class TestDegreeDistribution:
     def test_bayes_inversion_uniform_rate(self):
         # With a flat completion rate the posterior equals the prior
         # restricted to the observed degrees.
-        records = []
-        for d in (2, 3, 4):
-            for i in range(10):
-                records.append(RunRecord(
-                    phi_deg=60.0, degree=d, run_index=i, seed=0, failed=False,
-                    regen_attempts=1, mbar_final=1.0 if i < 5 else 0.0, t_final=10,
-                    terminated_by="max_iterations",
-                ))
+        records = run_records(*(
+            (60.0, d, i, 1.0 if i < 5 else 0.0) for d in (2, 3, 4) for i in range(10)
+        ))
         pmf = np.zeros(5)
         pmf[2], pmf[3], pmf[4] = 0.5, 0.3, 0.2
         rows = conditional_degree_distribution(records, pmf)
@@ -237,15 +267,13 @@ class TestDegreeDistribution:
         assert [r[2] for r in rows] == [pytest.approx(p) for p in (0.5, 0.3, 0.2)]
 
     def test_no_completions_posterior_nan(self):
-        records = [RunRecord(
-            phi_deg=60.0, degree=2, run_index=0, seed=0, failed=False,
-            regen_attempts=1, mbar_final=0.0, t_final=10,
-            terminated_by="consensus_zero",
-        )]
+        records = run_records((60.0, 2, 0, 0.0))
         rows = conditional_degree_distribution(records, np.array([0.0, 0.0, 1.0]))
         assert rows[0][1] == 0.0
         assert np.isnan(rows[0][2])
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            conditional_degree_distribution([], np.array([1.0]))
+            conditional_degree_distribution(run_records(), np.array([1.0]))
+        with pytest.raises(ValueError):
+            conditional_degree_distribution(run_records((60.0, 2, 0, np.nan)), np.array([1.0]))
