@@ -51,6 +51,8 @@ __all__ = [
     "CONSENSUS_ZERO",
     "CONSENSUS_ONE",
     "MAX_ITERATIONS",
+    "OUTCOMES",
+    "outcome_level",
     "RunOutcome",
     "simulate_run",
     "run_to_completion",
@@ -69,10 +71,22 @@ CONSENSUS_ONE = "consensus_one"
 MAX_ITERATIONS = "max_iterations"
 
 
+# Outcomes in the order a run's final mean reaches them: the thresholds nest.
+OUTCOMES = ("extinction", "survival", "dominance", "completion")
+
+
+def outcome_level(mbar):
+    """Index into OUTCOMES of the furthest outcome a final mean reached (the
+    count of thresholds it passed), elementwise for an array of means; a
+    NaN mean reaches none."""
+    m = np.asarray(mbar)
+    return (m > SURVIVAL_MIN).astype(np.int8) + (m >= DOMINANCE_MIN) + (m >= COMPLETION_MIN)
+
+
 @dataclass(frozen=True)
 class RunOutcome:
     """How a run ended.  The outcome flags nest and follow from
-    ``mbar_final`` alone; a NaN mean sets none of them."""
+    ``mbar_final`` alone (:func:`outcome_level`); a NaN mean sets none."""
 
     mbar_final: float
     t_final: int
@@ -80,26 +94,20 @@ class RunOutcome:
 
     @property
     def survival(self) -> bool:
-        return self.mbar_final > SURVIVAL_MIN
+        return bool(outcome_level(self.mbar_final) >= 1)
 
     @property
     def dominance(self) -> bool:
-        return self.mbar_final >= DOMINANCE_MIN
+        return bool(outcome_level(self.mbar_final) >= 2)
 
     @property
     def completion(self) -> bool:
-        return self.mbar_final >= COMPLETION_MIN
+        return bool(outcome_level(self.mbar_final) >= 3)
 
     @property
     def outcome_label(self) -> str:
         """The furthest outcome reached."""
-        if self.completion:
-            return "completion"
-        if self.dominance:
-            return "dominance"
-        if self.survival:
-            return "survival"
-        return "extinction"
+        return OUTCOMES[outcome_level(self.mbar_final)]
 
 
 def _initial_state(n: int, innovator: int) -> np.ndarray:

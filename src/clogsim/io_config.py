@@ -22,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .dynamics import COMPLETION_MIN, DOMINANCE_MIN, SURVIVAL_MIN
+from .dynamics import OUTCOMES, outcome_level
 
 __all__ = [
     "ConfigError",
@@ -104,6 +104,18 @@ def write_csv(path: str | None, header, rows) -> None:
 
 
 RUNS_HEADER = ("scenario", "phi_deg", "degree", "run_index", "mbar_final", "t_final", "outcome")
+_RUN_LABELS = (*OUTCOMES, "regen_failure")
+_RUN_FIELDS = ["phi_deg", "degree", "run_index", "mbar_final", "t_final", "failed"]
+_ROWS_PER_CHUNK = 4096
+
+
+def _run_rows(records, scenario_kind: str):
+    """runs.csv rows, made from one chunk of records at a time."""
+    for start in range(0, len(records), _ROWS_PER_CHUNK):
+        part = records[start:start + _ROWS_PER_CHUNK]
+        labels = np.where(part["failed"], len(OUTCOMES), outcome_level(part["mbar_final"]))
+        for (phi, d, i, m, t, failed), k in zip(part[_RUN_FIELDS].tolist(), labels.tolist()):
+            yield scenario_kind, phi, d, i, m, None if failed else t, _RUN_LABELS[k]
 
 
 def write_sweep_outputs(cells, records, scenario_kind: str, out_dir: str):
@@ -117,17 +129,6 @@ def write_sweep_outputs(cells, records, scenario_kind: str, out_dir: str):
     cells_path = os.path.join(out_dir, "cells.csv")
     runs_path = os.path.join(out_dir, "runs.csv")
 
-    failed, mbar = records["failed"], records["mbar_final"]
-    outcome = np.select(
-        [failed, mbar >= COMPLETION_MIN, mbar >= DOMINANCE_MIN, mbar > SURVIVAL_MIN],
-        ["regen_failure", "completion", "dominance", "survival"],
-        "extinction",
-    )
-    t_final = records["t_final"].astype(object)
-    t_final[failed] = None
-    columns = (records["phi_deg"], records["degree"], records["run_index"],
-               mbar, t_final, outcome)
-
     write_csv(cells_path, cells.dtype.names, cells.tolist())
-    write_csv(runs_path, RUNS_HEADER, zip(repeat(scenario_kind), *(c.tolist() for c in columns)))
+    write_csv(runs_path, RUNS_HEADER, _run_rows(records, scenario_kind))
     return cells_path, runs_path

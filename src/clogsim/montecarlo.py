@@ -14,10 +14,12 @@ import multiprocessing
 import os
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import product
 
 import numpy as np
 
-from .dynamics import COMPLETION_MIN, DOMINANCE_MIN, SURVIVAL_MIN, run_to_completion
+from .dynamics import CONSENSUS_ONE, CONSENSUS_ZERO, MAX_ITERATIONS, OUTCOMES, outcome_level
+from .dynamics import run_to_completion
 from .network import find_node_with_degree, generate_pa_network
 from .scenarios import KINDS, ScenarioConfig, scenario_biases
 
@@ -83,10 +85,11 @@ class SweepSpec:
 # ``failed`` marks a run whose innovator degree never appeared within the
 # regeneration limit (NaN ``mbar_final``, ``t_final`` -1).  The cell
 # fields are the cells.csv header, in order.
+_TERMINATED_BY = f"U{max(map(len, (CONSENSUS_ZERO, CONSENSUS_ONE, MAX_ITERATIONS)))}"
 RUN_DTYPE = np.dtype((np.record, [
     ("phi_deg", "f8"), ("degree", "i8"), ("run_index", "i8"), ("seed", "u8"),
     ("regen_attempts", "i8"), ("failed", "?"), ("mbar_final", "f8"), ("t_final", "i8"),
-    ("terminated_by", "U14"),
+    ("terminated_by", _TERMINATED_BY),
 ]))
 CELL_DTYPE = np.dtype((np.record, [
     ("phi_deg", "f8"), ("innovator_degree", "i8"), ("runs", "i8"), ("n_survival", "i8"),
@@ -182,6 +185,10 @@ def execute_run(spec: SweepSpec, phi_deg: float, degree: int, run_index: int) ->
     return np.array(row, dtype=RUN_DTYPE)[()]
 
 
+def _execute_task(spec: SweepSpec, task: tuple) -> np.record:
+    return execute_run(spec, *task)
+
+
 def worker_count(workers: int | None) -> int:
     """Worker processes for a sweep: one per CPU this process may run on
     by default, never more."""
@@ -202,23 +209,20 @@ def execute_sweep(spec: SweepSpec, workers: int | None = None):
     so aggregation (and any file written from it) is identical regardless
     of scheduling.
     """
-    tasks = [
-        (float(phi), int(d), i)
-        for phi in spec.phi_list
-        for d in spec.degree_list
-        for i in range(spec.runs_per_cell)
-    ]
-    workers = min(worker_count(workers), len(tasks))
-    run = partial(execute_run, spec)
+    size = len(spec.phi_list) * len(spec.degree_list) * spec.runs_per_cell
+    tasks = product(map(float, spec.phi_list), map(int, spec.degree_list),
+                    range(spec.runs_per_cell))
+    workers = min(worker_count(workers), size)
+    run = partial(_execute_task, spec)
 
+    # Each row goes into the array as it arrives, so no list of rows is held.
     if workers == 1:
-        rows = [run(*c) for c in tasks]
+        records = np.fromiter(map(run, tasks), RUN_DTYPE, size)
     else:
-        chunk = max(1, len(tasks) // (workers * 8))
         with multiprocessing.Pool(workers) as pool:
-            rows = pool.starmap(run, tasks, chunksize=chunk)
-
-    records = np.array(rows, dtype=RUN_DTYPE).view(np.recarray)
+            rows = pool.imap(run, tasks, chunksize=max(1, size // (workers * 8)))
+            records = np.fromiter(rows, RUN_DTYPE, size)
+    records = records.view(np.recarray)
     return aggregate_cells(spec, records), records
 
 
@@ -227,10 +231,12 @@ def aggregate_cells(spec: SweepSpec, records) -> np.recarray:
 
     ``records`` must be in the grid order :func:`execute_sweep` returns:
     phi outermost, then degree, then run index, ``spec.runs_per_cell``
-    records per cell.  Means and standard deviations cover completed runs
-    only; regeneration failures are counted separately.  The sample SD
-    needs two runs and the means one, otherwise they are NaN.
+    records per cell, as a RUN_DTYPE array or a list of its rows.  Means
+    and standard deviations cover completed runs only; regeneration
+    failures are counted separately.  The sample SD needs two runs and the
+    means one, otherwise they are NaN.
     """
+    records = np.asarray(records, dtype=RUN_DTYPE)
     phis, degrees = len(spec.phi_list), len(spec.degree_list)
     cells = np.recarray(phis * degrees, dtype=CELL_DTYPE)
     cells.phi_deg = np.repeat(spec.phi_list, degrees)
@@ -240,9 +246,10 @@ def aggregate_cells(spec: SweepSpec, records) -> np.recarray:
     mbar = records["mbar_final"].reshape(shape)
     tfin = records["t_final"].reshape(shape)
     cells.runs = done.sum(axis=1)
-    cells.n_survival = (done & (mbar > SURVIVAL_MIN)).sum(axis=1)
-    cells.n_dominance = (done & (mbar >= DOMINANCE_MIN)).sum(axis=1)
-    cells.n_completion = (done & (mbar >= COMPLETION_MIN)).sum(axis=1)
+    # Runs that reached survival, dominance and completion (OUTCOMES[1:]);
+    # a failed run's NaN mean reaches none.
+    reached = outcome_level(mbar)[..., None] >= np.arange(1, len(OUTCOMES))
+    cells.n_survival, cells.n_dominance, cells.n_completion = reached.sum(axis=1).T
     cells.n_regen_failures = spec.runs_per_cell - cells.runs
     for k, cell in enumerate(cells):
         # Each cell's completed runs as one contiguous array, so its
@@ -277,18 +284,20 @@ def conditional_degree_distribution(records, degree_pmf: np.ndarray):
     """Completion rates by innovator degree, and the Bayes inversion.
 
     Returns rows (degree, p_cascade_given_degree, p_degree_given_cascade)
-    for every degree present in the run array ``records``.  The inversion
-    weights each degree's completion rate by the network's degree
-    distribution and normalizes; when no run completed it is undefined
-    and reported as NaN.
+    for every degree present in ``records``, a RUN_DTYPE array or a list
+    of its rows.  The inversion weights each degree's completion rate by
+    the network's degree distribution and normalizes; when no run
+    completed it is undefined and reported as NaN.
     """
+    records = np.asarray(records, dtype=RUN_DTYPE)
     done = ~records["failed"]
     if not done.any():
         raise ValueError("no completed run records to analyze")
 
     degree = records["degree"][done]
     runs = np.bincount(degree)
-    completions = np.bincount(degree, weights=records["mbar_final"][done] >= COMPLETION_MIN)
+    completed = outcome_level(records["mbar_final"][done]) == OUTCOMES.index("completion")
+    completions = np.bincount(degree, weights=completed)
     degrees = np.flatnonzero(runs)
     p_given_d = completions[degrees] / runs[degrees]
 

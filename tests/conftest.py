@@ -22,8 +22,8 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def starmap(self, fn, tasks, chunksize=1):
-            return [fn(*t) for t in tasks]
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
 
     monkeypatch.setattr(montecarlo.multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)

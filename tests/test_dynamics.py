@@ -16,8 +16,10 @@ from clogsim.dynamics import (
     DEFAULT_ALPHA,
     DOMINANCE_MIN,
     MAX_ITERATIONS,
+    OUTCOMES,
     SURVIVAL_MIN,
     RunOutcome,
+    outcome_level,
     run_to_completion,
     simulate_run,
 )
@@ -427,6 +429,18 @@ class TestClassifyOutcome:
         assert out.survival >= out.dominance >= out.completion
         label = ("extinction", "survival", "dominance", "completion")[sum(flags)]
         assert out.outcome_label == label
+
+    def test_level_of_an_array(self):
+        # Each threshold and its neighbouring floats, and NaN, levelled
+        # elementwise as single outcomes label them.
+        mbar = [0.0, 1.0, np.nan]
+        for x in (SURVIVAL_MIN, DOMINANCE_MIN, COMPLETION_MIN):
+            mbar += [np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)]
+        levels = outcome_level(np.array(mbar))
+        assert levels.tolist() == [0, 3, 0, 0, 0, 1, 1, 2, 2, 2, 3, 3]
+        assert [OUTCOMES[k] for k in levels] == [
+            RunOutcome(m, 1, MAX_ITERATIONS).outcome_label for m in mbar
+        ]
 
     def test_consensus_extremes(self):
         zero = RunOutcome(1e-9, 175, CONSENSUS_ZERO)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clogsim import cli, montecarlo
+from clogsim import cli, io_config, montecarlo
 from clogsim.io_config import (
     ConfigError,
     format_field,
@@ -14,7 +14,6 @@ from clogsim.io_config import (
     write_csv,
     write_sweep_outputs,
 )
-from clogsim.dynamics import COMPLETION_MIN, DOMINANCE_MIN, SURVIVAL_MIN, RunOutcome
 from clogsim.montecarlo import RUN_DTYPE, SweepSpec, aggregate_cells, execute_sweep, mix_seed
 from clogsim.scenarios import ScenarioConfig
 
@@ -265,6 +264,14 @@ class TestSweepOutputs:
         assert len(open(cells_path).read().splitlines()) == len(cells) + 1
         assert len(open(runs_path).read().splitlines()) == len(records) + 1
 
+    def test_chunks_write_the_bytes_of_one(self, tmp_path, monkeypatch):
+        # 12 runs written 5 at a time: two full chunks and a short one.
+        spec, cells, records = self._small_sweep()
+        whole = write_sweep_outputs(cells, records, "unbiased", str(tmp_path / "a"))[1]
+        monkeypatch.setattr(io_config, "_ROWS_PER_CHUNK", 5)
+        chunked = write_sweep_outputs(cells, records, "unbiased", str(tmp_path / "b"))[1]
+        assert open(chunked, "rb").read() == open(whole, "rb").read()
+
     def test_rerun_byte_identical(self, tmp_path):
         spec, cells, records = self._small_sweep()
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -288,21 +295,3 @@ class TestSweepOutputs:
         lines = open(runs_path).read().splitlines()
         assert lines[1] == "random,60,40,0,,,regen_failure"
         assert open(cells_path).read().splitlines()[1] == "60,40,0,0,0,0,,,,1"
-
-    def test_outcome_labels_follow_the_thresholds(self, tmp_path):
-        # Each threshold and its neighbouring floats, labelled as a single
-        # run's RunOutcome labels them.
-        mbar = [0.0, 1.0]
-        for x in (SURVIVAL_MIN, DOMINANCE_MIN, COMPLETION_MIN):
-            mbar += [np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)]
-        records = np.array([(60.0, 2, i, 1, 1, False, m, 7, "max_iterations")
-                            for i, m in enumerate(mbar)], dtype=RUN_DTYPE)
-        spec = SweepSpec(
-            scenario=ScenarioConfig(kind="random", phi_deg=60.0, n=64),
-            phi_list=(60.0,), degree_list=(2,), runs_per_cell=len(mbar), master_seed=1,
-        )
-        cells = aggregate_cells(spec, records)
-        _, runs_path = write_sweep_outputs(cells, records, "random", str(tmp_path))
-        labels = [line.split(",")[-1] for line in open(runs_path).read().splitlines()[1:]]
-        assert labels == [RunOutcome(m, 7, "max_iterations").outcome_label for m in mbar]
-        assert labels.count("extinction") == 3 and labels.count("completion") == 3

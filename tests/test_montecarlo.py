@@ -242,6 +242,19 @@ class TestAggregateCells:
         assert np.isnan(cell.sd_mbar_final)
 
 
+    def test_rows_from_execute_run_accepted(self):
+        # A list of execute_run rows, as a pool mapping execute_run returns
+        # them, aggregates and inverts as the sweep's array does.
+        spec = small_spec(kind="nearby", phi_list=(60.0,), degree_list=(2, 40),
+                          runs=3, max_iters=500, regen_limit=3)
+        cells, records = execute_sweep(spec, workers=1)
+        rows = [execute_run(spec, r.phi_deg, r.degree, r.run_index) for r in records]
+        assert aggregate_cells(spec, rows).tobytes() == cells.tobytes()
+        pmf = np.full(41, 1.0 / 41)
+        np.testing.assert_array_equal(conditional_degree_distribution(rows, pmf),
+                                      conditional_degree_distribution(records, pmf))
+
+
 class TestDegreeDistribution:
     def test_pmf_properties(self):
         rng = np.random.default_rng(12)
