@@ -17,19 +17,21 @@ mental state and every neighbour input lies strictly on the side of its
 node's threshold that the node's signal is on, the signals are settled:
 each later cycle redraws them unchanged, and each state follows the fixed
 map x <- alpha * input + (1 - alpha) * x.  The run then iterates that map
-alone, with the same arithmetic, until a state crosses its threshold (and
-full cycles resume), consensus is reached, or the states stop changing
-(an absorbing state, reported as a run capped at the cycle limit).  The
+alone, with the same arithmetic, until a state leaves its side (and full
+cycles resume), consensus is reached, or the states stop changing (an
+absorbing state, reported as a run capped at the cycle limit).  The
 results, the trace and the generator state equal those of the full cycle
 loop, except that an absorbing run does not draw its remaining cycles.
 
-The uniforms behind the signals are drawn in blocks, one row of n per
-cycle: 8 cycles, then 16, and so on, doubling up to 8,192 uniforms (32
-cycles of 256 nodes), the last block of a run cut to its cycle cap.  One ``rng.random((k, n))`` yields the same doubles
-as k calls of ``rng.random(n)``.  When a run stops inside a block (at
-consensus, or when its signals settle and the fast-forward takes over),
-the generator is restored to its state before the block and redraws only
-the rows used, so it ends where a draw per cycle would have left it.
+The uniforms behind the signals are drawn in blocks of one size, one row
+of n per cycle: 8,192 uniforms (32 cycles of 256 nodes), the last block
+of a run cut to its cycle cap.  One ``rng.random((k, n))`` yields the same
+doubles as k calls of ``rng.random(n)``.  Full cycles read their signals
+from a block's rows; settled cycles take the same rows without reading
+them.  A block ends early when the run stops, when its signals settle or
+when a settled state leaves its side; the generator is then restored to
+its state before the block and redraws only the rows used, so it ends
+where a draw per cycle would have left it.
 """
 
 from __future__ import annotations
@@ -85,24 +87,12 @@ def outcome_level(mbar):
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """How a run ended.  The outcome flags nest and follow from
-    ``mbar_final`` alone (:func:`outcome_level`); a NaN mean sets none."""
+    """How a run ended.  Its outcome follows from ``mbar_final`` alone
+    (:func:`outcome_level`); a NaN mean reaches none."""
 
     mbar_final: float
     t_final: int
     terminated_by: str
-
-    @property
-    def survival(self) -> bool:
-        return bool(outcome_level(self.mbar_final) >= 1)
-
-    @property
-    def dominance(self) -> bool:
-        return bool(outcome_level(self.mbar_final) >= 2)
-
-    @property
-    def completion(self) -> bool:
-        return bool(outcome_level(self.mbar_final) >= 3)
 
     @property
     def outcome_label(self) -> str:
@@ -119,17 +109,10 @@ def _initial_state(n: int, innovator: int) -> np.ndarray:
     return m
 
 
-# Uniforms are drawn, and settled signals fast-forwarded, in blocks of
-# rows, one row per cycle.  A small first block wastes few rows when a run
-# soon stops or a state soon leaves its side; doubling up to the last
-# spreads each block's fixed costs over more rows.
-_FIRST_BLOCK = 8
-_MAX_BLOCK = 64
-# At most this many uniforms (64 KiB) per block.  Blocks of 128 KiB, 64
-# rows of 256 nodes, raised the peak RSS of a sweep worker by about 0.4 MB
-# over the earlier code, which drew one row per cycle.  With 64 KiB blocks
-# it is 0.1-0.2 MB above that code, as was a variant of this module that
-# drew one row per cycle, so the blocks are not the rest's source.
+# At most this many uniforms (64 KiB) per block of rows, one row per cycle;
+# settled cycles compute a block of states of the same size.  Blocks of
+# 128 KiB (64 rows of 256 nodes) raised the peak RSS of a sweep worker by
+# about 0.4 MB over drawing one row per cycle; 64 KiB blocks do not.
 _MAX_DRAW = 8192
 
 
@@ -138,10 +121,9 @@ def _cycle(m, u, rule, owner, indices, inv_deg, alpha, c):
     # signals and update; ``c`` is 1 - alpha.  Node owner[k] hears node
     # indices[k] (see Network.owner).  A node's signal count is a sum of
     # 0/1, exact in any order, so bincount gives the CSR row sums exactly.
-    p = rule(m)
-    s = u < p
+    s = u < rule(m)
     inp = np.bincount(owner, s[indices]) * inv_deg
-    return alpha * inp + c * m, s, p, inp
+    return alpha * inp + c * m, s, inp
 
 
 def _rewind(rng, state, uniforms, used):
@@ -162,56 +144,12 @@ def _on_side(x, s, thr):
     return np.where(s, x > thr, x < thr).all(axis=-1)
 
 
-def _settled(m, s, p, inp, thr) -> bool:
+def _settled(m, s, inp, thr) -> bool:
     """Whether the step rule will redraw the signals ``s`` for as long as the
-    states stay on their sides: every ``p`` is 0 or 1, and the states ``m``
-    and the inputs ``inp`` lie strictly on each node's side of ``thr``."""
-    return (bool(_on_side(inp, s, thr)) and bool(_on_side(m, s, thr))
-            and not np.any((p > 0.0) & (p < 1.0)))
-
-
-def _fast_forward(m, s, inp, thr, alpha, t, max_iters, rng, mbar_trace):
-    """Cycles after cycle ``t`` with the settled signals ``s`` held fixed.
-
-    Each row is ``alpha * inp + (1 - alpha) * x``, the arithmetic of a full
-    cycle.  Stops at the first row that reaches consensus, repeats the row
-    before it (an absorbing state: the trace is padded to ``max_iters``) or
-    leaves a node's side, where full cycles resume.  ``rng`` draws what the
-    skipped cycles would have drawn, except after an absorbing state.
-    Returns (m, t, terminated_by); terminated_by is None when cycles resume.
-    """
-    a = alpha * inp
-    c = 1.0 - alpha
-    x = m
-    block = _FIRST_BLOCK
-    while t < max_iters:
-        rows = np.empty((min(block, max_iters - t), m.size))
-        for row in rows:
-            np.multiply(c, x, out=row)
-            np.add(a, row, out=row)
-            x = row
-        zero = rows.max(axis=1) < CONSENSUS_EPS
-        one = rows.min(axis=1) > 1.0 - CONSENSUS_EPS
-        same = (rows == np.vstack((m, rows[:-1]))).all(axis=1)
-        stop = zero | one | same | ~_on_side(rows, s, thr)
-        j = int(np.argmax(stop)) if stop.any() else len(rows) - 1
-        t += j + 1
-        m = rows[j].copy()
-        if mbar_trace is not None:
-            mbar_trace.extend(float(r.mean()) for r in rows[:j + 1])
-        if same[j]:
-            if mbar_trace is not None:
-                mbar_trace.extend([mbar_trace[-1]] * (max_iters - t))
-            return m, max_iters, MAX_ITERATIONS
-        rng.random((j + 1) * m.size)
-        if zero[j]:
-            return m, t, CONSENSUS_ZERO
-        if one[j]:
-            return m, t, CONSENSUS_ONE
-        if stop[j]:
-            return m, t, None
-        block = min(2 * block, _MAX_BLOCK)
-    return m, t, MAX_ITERATIONS
+    states stay on their sides: the states ``m`` and the inputs ``inp`` lie
+    strictly on each node's side of ``thr``.  Off the threshold the rule's
+    value is exactly 0 or 1, so no draw can flip a signal."""
+    return bool(_on_side(inp, s, thr)) and bool(_on_side(m, s, thr))
 
 
 def simulate_run(
@@ -227,14 +165,17 @@ def simulate_run(
 ) -> tuple[RunOutcome, np.ndarray]:
     """Run from the standard initial state until consensus or the cap.
 
-    Returns the outcome and the final mental states.
+    Returns the outcome and the final mental states.  ``beta`` is a scalar
+    or one value per node, each in [-0.5, 0.5].
 
     If ``mbar_trace`` is a list, the population mean is appended each cycle
     (index = cycle, starting with the initial state at index 0).
 
-    At ``phi_deg == 90``, once the signals are settled (see the module
-    docstring) the states are advanced by the update map alone, without
-    calling the rule or gathering signals.  An absorbing state ends the
+    Each block of uniforms is consumed in one of two modes.  Full cycles
+    run the rule and gather signals.  At ``phi_deg == 90``, once the
+    signals are settled (see the module docstring), the next blocks'
+    cycles advance the states by the update map alone, until a state
+    leaves its side and full cycles resume.  An absorbing state ends the
     run as the cycle cap would: ``t_final == max_iters``, and the trace is
     padded with the unchanging mean.  Outcome, final states, trace and,
     for every run not stopped at ``max_iters``, the state of ``rng`` equal
@@ -246,6 +187,13 @@ def simulate_run(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
+    b = np.asarray(beta, dtype=np.float64)
+    if b.shape not in ((), (net.n,)):
+        raise ValueError(f"beta must be a scalar or one value per node ({net.n}), "
+                         f"got shape {b.shape}")
+    bad = b[~(np.abs(b) <= 0.5)]
+    if bad.size:
+        raise ValueError(f"beta must lie in [-0.5, 0.5], got {float(bad[0])!r}")
 
     m = _initial_state(net.n, innovator)
     rule = production_rule(phi_deg, beta)
@@ -258,38 +206,61 @@ def simulate_run(
 
     # Below 90 signals are never settled, so only the step rule checks.
     thr = step_threshold(beta) if phi_deg == 90.0 else None
-    terminated_by = MAX_ITERATIONS
+    terminated_by = None
     t = 0
-    # uniforms[row] is the next cycle's row; the block was drawn from state.
-    uniforms, row, block, state = (), 0, _FIRST_BLOCK, None
-    max_rows = max(1, _MAX_DRAW // net.n)
-    while t < max_iters:
-        if row == len(uniforms):
-            state = rng.bit_generator.state
-            uniforms = rng.random((min(block, max_rows, max_iters - t), net.n))
-            row, block = 0, min(2 * block, max_rows)
-        m, s, p, inp = _cycle(m, uniforms[row], rule, owner, indices, inv_deg, alpha, c)
-        row += 1
-        t += 1
-        if mbar_trace is not None:
-            mbar_trace.append(float(m.mean()))
-        mx = float(m.max())
-        if mx < CONSENSUS_EPS:
-            terminated_by = CONSENSUS_ZERO
-            break
-        if mx > 1.0 - CONSENSUS_EPS and float(m.min()) > 1.0 - CONSENSUS_EPS:
-            terminated_by = CONSENSUS_ONE
-            break
-        if thr is not None and _settled(m, s, p, inp, thr):
-            _rewind(rng, state, uniforms, row)
-            uniforms, row, block = (), 0, _FIRST_BLOCK
-            m, t, exit_ = _fast_forward(m, s, inp, thr, alpha, t, max_iters, rng, mbar_trace)
-            if exit_ is not None:
-                terminated_by = exit_
-                break
+    held = None  # alpha * input of the settled signals s; None in full cycles
+    rows = max(1, _MAX_DRAW // net.n)
+    while terminated_by is None and t < max_iters:
+        state = rng.bit_generator.state
+        uniforms = rng.random((min(rows, max_iters - t), net.n))
+        if held is None:
+            for used, u in enumerate(uniforms, 1):
+                m, s, inp = _cycle(m, u, rule, owner, indices, inv_deg, alpha, c)
+                if mbar_trace is not None:
+                    mbar_trace.append(float(m.mean()))
+                mx = float(m.max())
+                if mx < CONSENSUS_EPS:
+                    terminated_by = CONSENSUS_ZERO
+                    break
+                if mx > 1.0 - CONSENSUS_EPS and float(m.min()) > 1.0 - CONSENSUS_EPS:
+                    terminated_by = CONSENSUS_ONE
+                    break
+                if thr is not None and _settled(m, s, inp, thr):
+                    held = alpha * inp
+                    break
+        else:
+            # Each row is alpha * inp + (1 - alpha) * x, a full cycle's
+            # arithmetic; stop at the first row that reaches consensus,
+            # repeats the row before it or leaves a node's side.
+            x = np.empty_like(uniforms)
+            prev = m
+            for row in x:
+                np.multiply(c, prev, out=row)
+                np.add(held, row, out=row)
+                prev = row
+            zero = x.max(axis=1) < CONSENSUS_EPS
+            one = x.min(axis=1) > 1.0 - CONSENSUS_EPS
+            same = (x == np.vstack((m, x[:-1]))).all(axis=1)
+            stop = zero | one | same | ~_on_side(x, s, thr)
+            used = int(np.argmax(stop)) + 1 if stop.any() else len(x)
+            m = x[used - 1].copy()
+            if mbar_trace is not None:
+                mbar_trace.extend(float(r.mean()) for r in x[:used])
+            if same[used - 1]:
+                if mbar_trace is not None:
+                    mbar_trace.extend([mbar_trace[-1]] * (max_iters - t - used))
+                t = max_iters - used  # the absorbing state holds to the cap
+                terminated_by = MAX_ITERATIONS
+            elif zero[used - 1]:
+                terminated_by = CONSENSUS_ZERO
+            elif one[used - 1]:
+                terminated_by = CONSENSUS_ONE
+            elif stop[used - 1]:
+                held = None
+        t += used
+        _rewind(rng, state, uniforms, used)
 
-    _rewind(rng, state, uniforms, row)
-    return RunOutcome(float(m.mean()), t, terminated_by), m
+    return RunOutcome(float(m.mean()), t, terminated_by or MAX_ITERATIONS), m
 
 
 def run_to_completion(

@@ -38,10 +38,10 @@ def pair():
 
 
 def cycle(m, net, phi_deg, beta, alpha, rng):
-    """One cycle of ``dynamics._cycle``: (next states, signals, probabilities)."""
+    """One cycle of ``dynamics._cycle``: (next states, signals, neighbour inputs)."""
     inv_deg = 1.0 / net.degrees.astype(np.float64)
     return dynamics._cycle(m, rng.random(net.n), production_rule(phi_deg, beta), net.owner,
-                           net.indices, inv_deg, alpha, 1.0 - alpha)[:3]
+                           net.indices, inv_deg, alpha, 1.0 - alpha)
 
 
 class TestInitState:
@@ -102,6 +102,16 @@ class TestStep:
             with pytest.raises(ValueError, match="alpha"):
                 simulate_run(pair(), 0, 60.0, 0.0, np.random.default_rng(0), alpha=bad)
 
+    def test_beta_validation(self):
+        # A beta outside [-0.5, 0.5], not finite, or neither a scalar nor
+        # one value per node is refused before the run starts.
+        for bad in (np.nan, 0.9, -0.6, np.inf, [0.0, np.nan, 0.0, 0.0],
+                    np.zeros(3), np.zeros(5), np.zeros((4, 1))):
+            with pytest.raises(ValueError, match="beta"):
+                simulate_run(star4(), 0, 60.0, bad, np.random.default_rng(0))
+        for good in (-0.5, 0.5, [0.5, -0.5, 0.0, 0.1]):
+            simulate_run(star4(), 0, 60.0, good, np.random.default_rng(0), max_iters=2)
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         phi=st.floats(min_value=45.0, max_value=90.0),
@@ -131,7 +141,7 @@ class TestRunToCompletion:
         out = run_to_completion(net, 5, 90.0, np.zeros(64), rng)
         assert out.t_final == 175
         assert out.terminated_by == CONSENSUS_ZERO
-        assert not (out.survival or out.dominance or out.completion)
+        assert out.outcome_label == "extinction"
         assert out.mbar_final < 1e-8
 
     def test_neighbor_ceiling_while_only_innovator_speaks(self):
@@ -160,7 +170,7 @@ class TestRunToCompletion:
         assert outcome.terminated_by == CONSENSUS_ONE
         assert outcome.t_final == 175
         assert np.all(m_final > 1 - 1e-8)
-        assert outcome.completion
+        assert outcome.outcome_label == "completion"
 
     def test_max_iters_cap(self):
         rng = np.random.default_rng(3)
@@ -296,6 +306,19 @@ def step_rule_starts(draw):
     return net, start, np.clip(thr - 0.5, -0.5, 0.5)
 
 
+def recorded_settled(monkeypatch):
+    """Patch ``dynamics._settled`` to record its answers; returns the list."""
+    checks = []
+    settled = dynamics._settled
+
+    def recording_settled(*args):
+        checks.append(settled(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(dynamics, "_settled", recording_settled)
+    return checks
+
+
 class TestAbsorbingExit:
     @pytest.mark.parametrize("kind", ["nearby", "random", "hubs", "unbiased"])
     def test_step_rule_matches_step_loop(self, kind):
@@ -322,6 +345,25 @@ class TestAbsorbingExit:
         _, skipped = assert_same_run(net, 0, 90.0, beta, rng, 40, start=start)
         assert not skipped
 
+    def test_settled_state_landing_on_its_threshold_resumes_full_cycles(self, monkeypatch):
+        # Hub 0 hears three neighbours that emit 1 (each held up by a leaf
+        # partner that emits 1) and two leaves that emit 0, so its input
+        # is v = 3 * (1/5).  Its threshold is 0.1 v + 0.9 v, which rounds
+        # one ulp above v, and its start one ulp below v updates exactly
+        # to v.  The run settles after cycle 1; the first settled update
+        # lands the hub on its threshold, where its signal is a draw, so
+        # full cycles must resume.
+        net = from_edges(9, [(0, 1), (0, 2), (0, 3), (0, 7), (0, 8), (1, 4), (2, 5), (3, 6)])
+        v = 3 * (1.0 / 5)
+        thr = DEFAULT_ALPHA * v + (1.0 - DEFAULT_ALPHA) * v
+        assert thr == np.nextafter(v, 1.0)
+        start = np.array([np.nextafter(v, 0.0), 1, 1, 1, 1, 1, 1, 0, 0], dtype=np.float64)
+        beta = np.array([thr - 0.5, -0.4, -0.4, -0.4, 0, 0, 0, 0, 0], dtype=np.float64)
+        monkeypatch.setattr(dynamics, "_initial_state", lambda n, innovator: start.copy())
+        checks = recorded_settled(monkeypatch)
+        assert_same_run(net, 0, 90.0, beta, np.random.default_rng(0), 200, start=start)
+        assert checks[0] and len(checks) > 1
+
     def test_interior_angle_never_exits(self):
         rng = np.random.default_rng(7)
         net = generate_pa_network(64, 2, rng)
@@ -340,9 +382,11 @@ class TestAbsorbingExit:
         assert not skipped or outcome.terminated_by == MAX_ITERATIONS
 
 
-# On up to 128 nodes, uniform blocks of 8, 16, 32 and 64 rows end after
-# cycles 8, 24, 56 and 120.
-STOPS_AROUND_BLOCK_ENDS = [1, 7, 8, 9, 23, 24, 25, 119, 120, 121]
+# With dynamics._MAX_DRAW at 8 rows of n, full cycles from the start take
+# blocks ending after cycles 8, 16, 24, ..., 120.  A run that settles after
+# cycle 1 takes its settled cycles from blocks ending after cycles 9, 17,
+# 25, ..., 121.
+STOPS_AROUND_BLOCK_ENDS = [1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 119, 120, 121]
 
 
 class TestBlockDraws:
@@ -355,9 +399,26 @@ class TestBlockDraws:
         net = generate_pa_network(16, 2, np.random.default_rng(stop))
         start = np.full(16, CONSENSUS_EPS / 0.9 ** (stop - 0.5))
         monkeypatch.setattr(dynamics, "_initial_state", lambda n, innovator: start.copy())
+        monkeypatch.setattr(dynamics, "_MAX_DRAW", 8 * 16)
         outcome, skipped = assert_same_run(net, 0, 60.0, 0.5, np.random.default_rng(stop),
                                            1000, start=start)
         assert (outcome.t_final, outcome.terminated_by) == (stop, CONSENSUS_ZERO)
+        assert not skipped
+
+    @pytest.mark.parametrize("stop", [s + 1 for s in STOPS_AROUND_BLOCK_ENDS])
+    def test_settled_consensus_inside_and_at_block_ends(self, monkeypatch, stop):
+        # The states of the test above at phi = 90 with beta = 0.5: every
+        # threshold is 1, so every signal is 0 and the run settles after
+        # cycle 1.  Settled cycles then reach consensus at cycle ``stop``.
+        net = generate_pa_network(16, 2, np.random.default_rng(stop))
+        start = np.full(16, CONSENSUS_EPS / 0.9 ** (stop - 0.5))
+        monkeypatch.setattr(dynamics, "_initial_state", lambda n, innovator: start.copy())
+        monkeypatch.setattr(dynamics, "_MAX_DRAW", 8 * 16)
+        checks = recorded_settled(monkeypatch)
+        outcome, skipped = assert_same_run(net, 0, 90.0, 0.5, np.random.default_rng(stop),
+                                           1000, start=start)
+        assert (outcome.t_final, outcome.terminated_by) == (stop, CONSENSUS_ZERO)
+        assert checks == [True]
         assert not skipped
 
     @pytest.mark.parametrize("settle", STOPS_AROUND_BLOCK_ENDS)
@@ -366,19 +427,13 @@ class TestBlockDraws:
         # state 0.5 * 0.9**(t - 1) exceeds its threshold 0.5 * 0.9**(settle
         # - 1.5); b's threshold is 1, so b emits 0 and hears a's 1 exactly
         # on its threshold.  Nothing is settled until a emits 0, from cycle
-        # ``settle`` on; the fast-forward then decays both to consensus.
+        # ``settle`` on; settled cycles then decay both to consensus.
         net = pair()
         beta = np.array([0.5 * 0.9 ** (settle - 1.5) - 0.5, 0.5])
         start = np.array([0.5, 0.0])
         monkeypatch.setattr(dynamics, "_initial_state", lambda n, innovator: start.copy())
-        checks = []  # one _settled call per full cycle
-        settled = dynamics._settled
-
-        def recording_settled(*args):
-            checks.append(settled(*args))
-            return checks[-1]
-
-        monkeypatch.setattr(dynamics, "_settled", recording_settled)
+        monkeypatch.setattr(dynamics, "_MAX_DRAW", 8 * 2)
+        checks = recorded_settled(monkeypatch)
         outcome, skipped = assert_same_run(net, 0, 90.0, beta, np.random.default_rng(settle),
                                            1000, start=start)
         assert checks.index(True) + 1 == settle
@@ -406,29 +461,21 @@ class TestNeutralMartingale:
 class TestClassifyOutcome:
     def test_nested_thresholds(self):
         cases = [
-            (0.0, False, False, False),
-            (5e-5, False, False, False),
-            (2e-4, True, False, False),
-            (0.49, True, False, False),
-            (0.5, True, True, False),
-            (0.56, True, True, False),
-            (1.0 - 2e-4, True, True, False),
-            (1.0 - 1e-5, True, True, True),
-            (1.0, True, True, True),
+            (0.0, 0), (5e-5, 0), (2e-4, 1), (0.49, 1), (0.5, 2), (0.56, 2),
+            (1.0 - 2e-4, 2), (1.0 - 1e-5, 3), (1.0, 3),
         ]
-        for mbar, sur, dom, comp in cases:
-            out = RunOutcome(mbar, 100, MAX_ITERATIONS)
-            assert (out.survival, out.dominance, out.completion) == (sur, dom, comp)
+        for mbar, level in cases:
+            assert outcome_level(mbar) == level
+            assert RunOutcome(mbar, 100, MAX_ITERATIONS).outcome_label == OUTCOMES[level]
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_flags_and_label_follow_thresholds(self, mbar):
-        out = RunOutcome(mbar, 1, MAX_ITERATIONS)
-        flags = (out.survival, out.dominance, out.completion)
-        assert flags == (mbar > SURVIVAL_MIN, mbar >= DOMINANCE_MIN, mbar >= COMPLETION_MIN)
-        assert out.survival >= out.dominance >= out.completion
+        flags = (mbar > SURVIVAL_MIN, mbar >= DOMINANCE_MIN, mbar >= COMPLETION_MIN)
+        assert flags[0] >= flags[1] >= flags[2]
+        assert outcome_level(mbar) == sum(flags)
         label = ("extinction", "survival", "dominance", "completion")[sum(flags)]
-        assert out.outcome_label == label
+        assert RunOutcome(mbar, 1, MAX_ITERATIONS).outcome_label == label
 
     def test_level_of_an_array(self):
         # Each threshold and its neighbouring floats, and NaN, levelled
@@ -443,10 +490,8 @@ class TestClassifyOutcome:
         ]
 
     def test_consensus_extremes(self):
-        zero = RunOutcome(1e-9, 175, CONSENSUS_ZERO)
-        assert not (zero.survival or zero.dominance or zero.completion)
-        one = RunOutcome(1.0 - 1e-9, 300, CONSENSUS_ONE)
-        assert one.survival and one.dominance and one.completion
+        assert RunOutcome(1e-9, 175, CONSENSUS_ZERO).outcome_label == "extinction"
+        assert RunOutcome(1.0 - 1e-9, 300, CONSENSUS_ONE).outcome_label == "completion"
 
     def test_is_frozen_record(self):
         out = RunOutcome(0.5, 1, MAX_ITERATIONS)

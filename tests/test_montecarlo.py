@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clogsim.dynamics import SURVIVAL_MIN, RunOutcome
+from clogsim.dynamics import COMPLETION_MIN, DOMINANCE_MIN, SURVIVAL_MIN, RunOutcome
 from clogsim.montecarlo import (
     CELL_DTYPE,
     RUN_DTYPE,
@@ -212,8 +212,9 @@ class TestAggregateCells:
             mbar = np.array([o.mbar_final for o in done])
             tfin = np.array([o.t_final for o in done], dtype=np.float64)
             expected.append((
-                phi, d, len(done), sum(o.survival for o in done),
-                sum(o.dominance for o in done), sum(o.completion for o in done),
+                phi, d, len(done), sum(o.mbar_final > SURVIVAL_MIN for o in done),
+                sum(o.mbar_final >= DOMINANCE_MIN for o in done),
+                sum(o.mbar_final >= COMPLETION_MIN for o in done),
                 mbar.mean() if done else np.nan,
                 mbar.std(ddof=1) if len(done) > 1 else np.nan,
                 tfin.mean() if done else np.nan, 6 - len(done),
