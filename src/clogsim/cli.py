@@ -264,11 +264,6 @@ def _cmd_net(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _scenario(args, args.phi, args.degree)
-    if args.regen_limit < 1:
-        raise ConfigError(f"regen_limit: must be at least 1, got {args.regen_limit}")
-    if args.run_index < 0:
-        raise ConfigError(f"run_index: must be non-negative, got {args.run_index}")
-
     # The sweep's own per-run draws, so any sweep run can be replayed in
     # isolation from its coordinates.
     _, rng, net, innovator, attempts, beta = montecarlo.prepare_run(

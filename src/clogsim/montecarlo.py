@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import CONSENSUS_ONE, CONSENSUS_ZERO, MAX_ITERATIONS, OUTCOMES, outcome_level
 from .dynamics import run_to_completion
-from .network import find_node_with_degree, generate_pa_network
+from .network import _require_integers, find_node_with_degree, generate_pa_network
 from .scenarios import KINDS, ScenarioConfig, scenario_biases
 
 __all__ = [
@@ -70,8 +70,11 @@ class SweepSpec:
             # Re-runs the scenario's angle constraints for each grid value.
             replace(self.scenario, phi_deg=float(phi))
         for d in self.degree_list:
-            if int(d) < 1:
+            _require_integers(degrees=d)
+            if d < 1:
                 raise ValueError(f"degrees must be at least 1, got {d!r}")
+        _require_integers(runs=self.runs_per_cell, regen_limit=self.regen_limit,
+                          seed=self.master_seed)
         if self.runs_per_cell < 1:
             raise ValueError(f"runs must be at least 1, got {self.runs_per_cell!r}")
         if self.regen_limit < 1:
@@ -126,7 +129,7 @@ def mix_seed(master_seed: int, kind: str, phi_deg: float, degree: int, run_index
         int(degree),
         int(run_index),
     )
-    h = master_seed & _MASK64
+    h = int(master_seed) & _MASK64
     for v in fields:
         h = _splitmix64(h ^ (v & _MASK64))
     return h
@@ -148,6 +151,11 @@ def prepare_run(
     on ``rng``.  net, innovator and beta are None when the regeneration
     limit is exhausted.
     """
+    _require_integers(run_index=run_index, regen_limit=regen_limit)
+    if run_index < 0:
+        raise ValueError(f"run_index must be non-negative, got {run_index!r}")
+    if regen_limit < 1:
+        raise ValueError(f"regen_limit must be at least 1, got {regen_limit!r}")
     degree = config.innovator_degree
     seed = mix_seed(master_seed, config.kind, config.phi_deg, degree, run_index)
     rng = np.random.default_rng(seed)

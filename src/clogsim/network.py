@@ -10,22 +10,21 @@ Generation follows the classic growth process: a small complete seed,
 then each arriving node links to ``attach_count`` distinct existing nodes
 chosen with probability proportional to current degree.  With
 attach_count = 2 on 256 nodes this gives 509 edges, i.e. average degree
-just under 4.  A node's targets are drawn from raw 32-bit words, as
-numpy's bounded ``rng.integers`` turns a word into an index, so networks
-and the generator's state after growth are the same as with one scalar
-call per target.  A grown network's CSR arrays are built, and its
-connectivity checked, only when something reads them: a network that is
-only asked for its degrees, such as one rejected for lacking a node of
-the wanted degree, never pays for them.
+just under 4.  Targets come from raw 32-bit words, turned into indices as
+numpy's bounded ``rng.integers`` does, so a network and the generator's
+state after it are those of one scalar call per target.  A grown
+network's CSR arrays are built, and its connectivity checked, only when
+something reads them: a network rejected for lacking a node of the
+wanted degree never pays for them.
 
 Hop distances come from a level-synchronous frontier BFS over the CSR
 arrays: each level marks all unvisited neighbors of the frontier at once.
-The connectivity check of every grown network that is read is the same
-BFS.
+The connectivity check of a grown network is the same BFS.
 """
 
 from __future__ import annotations
 
+import numbers
 from functools import cached_property
 
 import numpy as np
@@ -143,27 +142,19 @@ def from_edges(n: int, edges) -> Network:
     return Network(n=n, indptr=indptr, indices=directed % n, degrees=degrees)
 
 
-def _word_targets(words: np.ndarray, bounds: np.ndarray, rejects: np.ndarray):
-    """What ``rng.integers(0, bounds)`` makes of raw 32-bit ``words``.
+def _require_integers(**values) -> None:
+    """Raise a ValueError naming the first of ``values`` that is not an integer."""
+    for key, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
 
-    numpy draws below a bound b < 2**32 by Lemire's method: a word w gives
-    the index ``(w * b) >> 32``, unless the low 32 bits of ``w * b`` fall
-    below ``rejects = 2**32 % b``; then numpy rejects w and draws another
-    word for the same bound.  ``rng.integers(0, 2**32)`` returns these
-    words, a buffered half of a 64-bit output first.  All three arrays
-    are int64, and bounds below 2**31 keep ``w * b`` exact.  Returns the
-    indices as a list and the rejected mask.
+
+def _rejected(low: int, b: int) -> bool:
+    """Whether numpy rejects word w in a draw below b < 2**32, ``low`` being
+    the low half of ``w * b``.  By Lemire's method numpy takes the index
+    ``(w * b) >> 32`` unless ``low < 2**32 % b``, which needs ``low < b``.
     """
-    m = words * bounds
-    return (m >> 32).tolist(), m % (1 << 32) < rejects
-
-
-# Nodes whose targets one multiply turns from words into indices.  A
-# duplicate target, seven to nine per 256-node network at attach_count 2,
-# or a rejected word voids the batch's later indices: shorter batches
-# convert fewer words in vain, longer ones make fewer numpy calls.  32
-# and 64 were the fastest of 16 to 256 on 256 nodes with attach_count 2.
-_BATCH_NODES = 64
+    return low < (1 << 32) % b
 
 
 def generate_pa_network(n: int, attach_count: int, rng: np.random.Generator) -> Network:
@@ -175,69 +166,47 @@ def generate_pa_network(n: int, attach_count: int, rng: np.random.Generator) -> 
     so the graph stays simple.  The result is connected with minimum
     degree attach_count.
 
-    Targets are drawn from raw 32-bit words as ``rng.integers(0, b)``
-    draws them (see :func:`_word_targets`).  Every target takes at least
-    one word, so one call draws a word per target up front, and another a
-    word per target still to draw whenever the words run out: the stream
-    is consumed exactly as by one scalar call per target, and the network
-    and the generator's state afterwards are the same.  A batch of
-    targets turns its words into indices with one multiply; a duplicate
-    target or a rejected word ends the batch, and the next one starts at
-    the word after it.
-
-    The returned network carries its degrees; its CSR arrays are built,
-    and its connectivity checked, on their first read.
+    Each target takes words as ``rng.integers(0, b)`` does (see
+    :func:`_rejected`).  When the words run out, one call draws a word per
+    target still to draw, never more than are used: the network and the
+    generator's state afterwards are those of one scalar call per target.
     """
+    _require_integers(n=n, attach_count=attach_count)
     if attach_count < 1:
         raise ValueError(f"attach_count must be at least 1, got {attach_count!r}")
     if n < attach_count + 1:
         raise ValueError(f"need n >= attach_count + 1, got n={n!r}, attach_count={attach_count!r}")
     if n * attach_count >= 1 << 30:
-        # Keeps every bound below 2**31, and so _word_targets exact.
+        # Keeps every bound below 2**31, on numpy's 32-bit bounded draw.
         raise ValueError(f"need n * attach_count < 2**30, got n={n!r}, attach_count={attach_count!r}")
 
     a = attach_count
     seed_size = a + 1
     # One entry per unit of degree; drawing an index uniformly from this
     # list is a degree-proportional draw over nodes.  Each arriving node
-    # appends its sorted targets, then a copies of itself, so node v draws
-    # from the first a * (2v - seed_size) entries: the bound of its
-    # targets bounds[(v - seed_size) * a : (v - seed_size + 1) * a].
+    # appends its sorted targets, then a copies of itself.
     repeated = [i for i in range(seed_size) for _ in range(a)]
-    bounds = np.repeat(a * (2 * np.arange(seed_size, n) - seed_size), a)
-    rejects = (1 << 32) % bounds
-
-    words, pos = np.zeros(0, dtype=np.int64), 0
-    node, slot, targets = seed_size, 0, []
-    while slot < bounds.size:
-        # slot is the next target's index into bounds; targets holds the
-        # ones node has drawn so far.
-        k = min(_BATCH_NODES * a, bounds.size - slot)
-        if words.size - pos < k:
-            # One word per target left, counting the words in hand.
-            more = rng.integers(0, 1 << 32, size=bounds.size - slot - words.size + pos)
-            words, pos = np.concatenate([words[pos:], more]), 0
-        draws, rejected = _word_targets(
-            words[pos : pos + k], bounds[slot : slot + k], rejects[slot : slot + k]
-        )
-        if rejected.any():
-            del draws[int(rejected.argmax()) :]
-        for d in draws:
-            t = repeated[d]
-            if t in targets:
-                break
-            targets.append(t)
-            if len(targets) == a:
-                targets.sort()
-                repeated += targets
-                repeated += [node] * a
-                node += 1
-                targets = []
-        done = (node - seed_size) * a + len(targets)
-        # A duplicate target or a rejected word is one more word used; the
-        # next batch starts at the word after it, with the same target.
-        pos += done - slot + (done - slot < k)
-        slot = done
+    words = iter(())
+    for node in range(seed_size, n):
+        # node draws k more targets below bound b; a duplicate target or a
+        # rejected word takes the next word.
+        b, targets, k = len(repeated), [], a
+        while k:
+            for w in words:
+                m = w * b
+                if m & 0xFFFFFFFF < b and _rejected(m & 0xFFFFFFFF, b):
+                    continue
+                t = repeated[m >> 32]
+                if t not in targets:
+                    targets.append(t)
+                    k -= 1
+                    if not k:
+                        break
+            else:
+                words = iter(rng.integers(0, 1 << 32, size=(n - node - 1) * a + k).tolist())
+        targets.sort()
+        repeated += targets
+        repeated += [node] * a
 
     units = np.fromiter(repeated, dtype=np.int64, count=len(repeated))
     degrees = np.bincount(units, minlength=n)

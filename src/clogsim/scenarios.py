@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DEFAULT_ALPHA, DEFAULT_MAX_ITERS
-from .network import Network, bfs_distances
+from .network import Network, _require_integers, bfs_distances
 
 __all__ = [
     "KINDS",
@@ -61,6 +61,8 @@ class ScenarioConfig:
             raise ValueError("scenario=unbiased requires phi > 45")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+        _require_integers(n=self.n, attach=self.attach_count, degree=self.innovator_degree,
+                          max_iters=self.max_iters)
         if self.n % 2:
             raise ValueError(f"n must be even (biases are drawn as +/- pairs), got {self.n!r}")
         if self.attach_count < 1:

@@ -166,6 +166,21 @@ class TestRun:
         # The summary line does not depend on the trace.
         assert dumped.splitlines()[0] == plain.rstrip("\n")
 
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--regen-limit", "0", "regen_limit"),
+        ("--run-index", "-1", "run_index"),
+    ])
+    def test_bad_run_draw_is_usage_error(self, capsys, tmp_path, flag, value, key):
+        code, out, err = run_cli(
+            capsys, "run", "--scenario", "random", "--phi", "60", "--degree", "2",
+            "--seed", "7", "--n", "64", flag, value, "--out-dir", str(tmp_path),
+            "--dump-trajectory", "--dump-nodes", "--dump-edges",
+        )
+        assert code == 1
+        assert err.startswith(f"error: {key} must be ")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_impossible_degree_is_runtime_error(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--scenario", "random", "--phi", "60", "--degree", "40",
@@ -313,6 +328,19 @@ class TestSeedRange:
         )
         assert code == 1
         assert "--seed" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, grid", [
+        ("run", ("--scenario", "unbiased", "--phi", "75", "--degree", "2")),
+        ("sweep", ("--scenario", "unbiased", "--phi", "75", "--degrees", "2")),
+        ("net", ()),
+    ])
+    def test_non_integer_seed_is_usage_error(self, capsys, tmp_path, command, grid):
+        code, out, err = run_cli(capsys, command, *grid, "--seed", "x",
+                                 "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "--seed" in err and "'x'" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 

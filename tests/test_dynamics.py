@@ -102,6 +102,11 @@ class TestStep:
             with pytest.raises(ValueError, match="alpha"):
                 simulate_run(pair(), 0, 60.0, 0.0, np.random.default_rng(0), alpha=bad)
 
+    def test_max_iters_validation(self):
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="^max_iters must be at least 1"):
+                simulate_run(pair(), 0, 60.0, 0.0, np.random.default_rng(0), max_iters=bad)
+
     def test_beta_validation(self):
         # A beta outside [-0.5, 0.5], not finite, or neither a scalar nor
         # one value per node is refused before the run starts.

@@ -237,6 +237,15 @@ class TestWriteCsv:
         write_csv(path, ("a",), [(1,)])
         assert os.listdir(tmp_path) == ["t.csv"]
 
+    def test_failed_row_leaves_no_file(self, tmp_path):
+        def rows():
+            yield (1,)
+            raise RuntimeError("row failed")
+
+        with pytest.raises(RuntimeError, match="row failed"):
+            write_csv(str(tmp_path / "t.csv"), ("a",), rows())
+        assert os.listdir(tmp_path) == []
+
     def test_error_names_path(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")

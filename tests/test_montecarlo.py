@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from clogsim.montecarlo import (
     execute_run,
     execute_sweep,
     mix_seed,
+    prepare_run,
     worker_count,
 )
+from clogsim.network import generate_pa_network
 from clogsim.scenarios import ScenarioConfig
 
 
@@ -98,6 +102,60 @@ class TestExecuteRun:
                           n=256, runs=10)
         attempts = [execute_run(spec, 60.0, 2, i).regen_attempts for i in range(10)]
         assert all(a == 1 for a in attempts)
+
+
+_CONFIG = ScenarioConfig(kind="random", phi_deg=60.0, n=64, innovator_degree=2)
+
+
+class TestPrepareRun:
+    @pytest.mark.parametrize("run_index, regen_limit, key", [
+        (0, 0, "regen_limit"),
+        (0, -3, "regen_limit"),
+        (-1, 5, "run_index"),
+    ])
+    def test_bad_arguments_name_their_key(self, run_index, regen_limit, key):
+        # A regen_limit of 0 would report a failure with no network tried, and
+        # run_index -1 would get the seed of run 2**64 - 1.
+        with pytest.raises(ValueError, match=rf"^{key} must be "):
+            prepare_run(_CONFIG, 1, run_index, regen_limit)
+
+
+@pytest.mark.parametrize("build, key", [
+    pytest.param(lambda: replace(_CONFIG, n=256.0), "n", id="config-n"),
+    pytest.param(lambda: replace(_CONFIG, attach_count=2.0), "attach", id="config-attach"),
+    pytest.param(lambda: replace(_CONFIG, innovator_degree=4.5), "degree", id="config-degree"),
+    pytest.param(lambda: replace(_CONFIG, max_iters=100.0), "max_iters", id="config-max_iters"),
+    pytest.param(lambda: small_spec(degree_list=(2.5,)), "degrees", id="spec-degrees"),
+    pytest.param(lambda: small_spec(runs=2.0), "runs", id="spec-runs"),
+    pytest.param(lambda: small_spec(seed=1.5), "seed", id="spec-seed"),
+    pytest.param(lambda: small_spec(regen_limit=5.0), "regen_limit", id="spec-regen_limit"),
+    pytest.param(lambda: prepare_run(_CONFIG, 1, 0, 5.0), "regen_limit",
+                 id="prepare_run-regen_limit"),
+    pytest.param(lambda: prepare_run(_CONFIG, 1, 0.5), "run_index", id="prepare_run-run_index"),
+    pytest.param(lambda: generate_pa_network(256.0, 2, np.random.default_rng(0)), "n",
+                 id="growth-n"),
+    pytest.param(lambda: generate_pa_network(256, 2.0, np.random.default_rng(0)), "attach_count",
+                 id="growth-attach_count"),
+])
+def test_non_integer_size_names_its_key(build, key):
+    with pytest.raises(ValueError, match=rf"^{key} must be an integer, got "):
+        build()
+
+
+def test_numpy_integer_sizes_accepted():
+    config = replace(_CONFIG, n=np.int64(64), attach_count=np.int32(2),
+                     innovator_degree=np.int64(2), max_iters=np.int64(50))
+    spec = SweepSpec(scenario=config, phi_list=(60.0,), degree_list=(np.int64(2),),
+                     runs_per_cell=np.int64(2), master_seed=np.int64(3),
+                     regen_limit=np.int64(5))
+    _, records = execute_sweep(spec, workers=1)
+    assert records.tobytes() == execute_sweep(small_spec(
+        kind="random", phi_list=(60.0,), degree_list=(2,), runs=2, seed=3, max_iters=50,
+        regen_limit=5,
+    ), workers=1)[1].tobytes()
+    a = generate_pa_network(np.int64(64), np.int64(2), np.random.default_rng(1))
+    b = generate_pa_network(64, 2, np.random.default_rng(1))
+    assert np.array_equal(a.indices, b.indices)
 
 
 class TestExecuteSweep:
@@ -189,6 +247,14 @@ class TestExecuteSweep:
                 master_seed=0,
             )
 
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"degree_list": (2, 0)}, "degrees"),
+        ({"regen_limit": 0}, "regen_limit"),
+    ])
+    def test_value_below_one_names_its_key(self, kwargs, key):
+        with pytest.raises(ValueError, match=rf"^{key} must be at least 1"):
+            small_spec(**kwargs)
+
     def test_seed_outside_64_bits_rejected(self):
         # mix_seed keeps the low 64 bits, so 2**64 would alias seed 0.
         for seed in (-1, 2**64):
@@ -266,6 +332,10 @@ class TestDegreeDistribution:
         assert mean_degree == pytest.approx(2 * 509 / 256, abs=1e-9)
         # heavy tail: low degrees dominate
         assert pmf[2] > 0.3
+
+    def test_no_networks_rejected(self):
+        with pytest.raises(ValueError, match="^networks must be at least 1"):
+            empirical_degree_pmf(64, 2, np.random.default_rng(0), networks=0)
 
     def test_bayes_inversion_uniform_rate(self):
         # With a flat completion rate the posterior equals the prior

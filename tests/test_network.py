@@ -10,7 +10,7 @@ from clogsim.montecarlo import SweepSpec, execute_run
 from clogsim.network import (
     Network,
     _is_connected,
-    _word_targets,
+    _rejected,
     bfs_distances,
     edge_array,
     find_node_with_degree,
@@ -85,6 +85,10 @@ class TestFromEdges:
         # Truncating 0.5 to 0 or wrapping 2**70 would make an edge silently.
         with pytest.raises(ValueError, match="must be int64 integers"):
             from_edges(3, edges)
+
+    def test_rejects_empty_node_set(self):
+        with pytest.raises(ValueError, match="^node count must be positive, got 0$"):
+            from_edges(0, [])
 
     def test_rejects_non_pairs(self):
         with pytest.raises(ValueError, match="pairs"):
@@ -207,13 +211,12 @@ class TestBatchedGrowthMatchesReference:
 
     def test_duplicate_replay(self):
         # The reference run at this seed redraws a duplicate at seven nodes,
-        # 15 and 16 among them, so one batch of words starts right after
-        # the duplicate that ended another.
+        # 15 and 16 among them: each takes the word after the duplicate.
         draws = assert_same_growth(256, 2, 20260810)
         assert draws > 2 * (256 - 3)
 
     def test_later_batches(self):
-        # Growth spans many batches of draws.
+        # Longer growth: more duplicates, and bounds up to about 2,800.
         for seed in range(3):
             assert_same_growth(700, 2, seed)
 
@@ -245,32 +248,39 @@ class TestBatchedGrowthMatchesReference:
 
 class TestNumpyBoundedDraw:
     """Growth relies on numpy drawing ``rng.integers(0, b)``, b < 2**32, by
-    Lemire's method on raw 32-bit words; a numpy that draws otherwise
-    fails here."""
+    Lemire's method on raw 32-bit words, rejecting a word by
+    :func:`network._rejected`; a numpy that draws otherwise, or another
+    rejection rule, fails here."""
 
     @pytest.mark.parametrize("buffered", [False, True])
-    @pytest.mark.parametrize("bound", [3, 1018, 2**32 // 3 + 1])
+    @pytest.mark.parametrize("bound", [3, 1018, 2**32 // 3 + 1, 2**31 - 2])
     def test_words_give_numpy_draws(self, bound, buffered):
         # With bound 2**32 // 3 + 1, numpy rejects a third of the words.
+        # With 2**31 - 2, 2**32 % bound is 4, and about half of the words
+        # have a low half in [4, bound), which numpy keeps.
         count = 400
         rng, by_array, by_scalar = (np.random.default_rng(11) for _ in range(3))
         if buffered:
             for g in (rng, by_array, by_scalar):
                 g.integers(0, 7)
-        got, rejections = [], 0
+        got, rejections, tested = [], 0, 0
         while len(got) < count:
             # One word per draw still to make: never more than are used.
-            words = rng.integers(0, 1 << 32, size=count - len(got))
-            bounds = np.full(words.size, bound)
-            draws, rejected = _word_targets(words, bounds, (1 << 32) % bounds)
-            got += [d for d, r in zip(draws, rejected.tolist()) if not r]
-            rejections += int(rejected.sum())
+            for w in rng.integers(0, 1 << 32, size=count - len(got)).tolist():
+                low = w * bound & 0xFFFFFFFF
+                tested += low < bound
+                if low < bound and _rejected(low, bound):
+                    rejections += 1
+                else:
+                    got.append(w * bound >> 32)
         assert got == by_array.integers(0, np.full(count, bound)).tolist()
         assert got == [int(by_scalar.integers(bound)) for _ in range(count)]
         assert rng.bit_generator.state == by_array.bit_generator.state
         assert rng.bit_generator.state == by_scalar.bit_generator.state
-        if bound > 2**30:
+        if bound == 2**32 // 3 + 1:
             assert rejections > count // 8
+        if bound == 2**31 - 2:
+            assert tested - rejections > count // 4
 
 
 @pytest.fixture

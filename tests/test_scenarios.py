@@ -45,6 +45,18 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(kind="hubs", phi_deg=91.0)
 
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"alpha": 0.0}, "alpha"),
+        ({"alpha": 1.5}, "alpha"),
+        ({"attach_count": 0}, "attach"),
+        ({"n": 4, "attach_count": 4}, "n"),
+        ({"innovator_degree": 0}, "degree"),
+        ({"max_iters": 0}, "max_iters"),
+    ])
+    def test_bad_value_names_its_key(self, kwargs, key):
+        with pytest.raises(ValueError, match=rf"^{key} must "):
+            ScenarioConfig(kind="random", phi_deg=60.0, **kwargs)
+
 
 class TestSampleNeutralBiases:
     def test_pairing(self):
@@ -165,3 +177,7 @@ class TestAllocateBiases:
         values = [-0.1, -0.2, 0.2, 0.1]
         with pytest.raises(ValueError):
             allocate_biases(values, net, 0, "unbiased", np.random.default_rng(0))
+
+    def test_scenario_biases_unknown_kind(self):
+        with pytest.raises(ValueError, match="^scenario must be one of"):
+            scenario_biases("mystery", star_path(), 0, np.random.default_rng(0))
