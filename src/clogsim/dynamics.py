@@ -19,19 +19,17 @@ each later cycle redraws them unchanged, and each state follows the fixed
 map x <- alpha * input + (1 - alpha) * x.  The run then iterates that map
 alone, with the same arithmetic, until a state leaves its side (and full
 cycles resume), consensus is reached, or the states stop changing (an
-absorbing state, reported as a run capped at the cycle limit).  The
-results, the trace and the generator state equal those of the full cycle
-loop, except that an absorbing run does not draw its remaining cycles.
+absorbing state, reported as a run capped at the cycle limit).  Results,
+trace and generator state equal those of the full cycle loop.
 
-The uniforms behind the signals are drawn in blocks of one size, one row
-of n per cycle: 8,192 uniforms (32 cycles of 256 nodes), the last block
-of a run cut to its cycle cap.  One ``rng.random((k, n))`` yields the same
-doubles as k calls of ``rng.random(n)``.  Full cycles read their signals
-from a block's rows; settled cycles take the same rows without reading
-them.  A block ends early when the run stops, when its signals settle or
-when a settled state leaves its side; the generator is then restored to
-its state before the block and redraws only the rows used, so it ends
-where a draw per cycle would have left it.
+Cycles run in blocks of one size, one row of n per cycle: 8,192 values
+(32 cycles of 256 nodes), the last block of a run cut to its cycle cap.
+Full cycles draw a block with one ``rng.random((k, n))``, the same doubles
+as k calls of ``rng.random(n)``; settled cycles draw nothing.  PCG64 takes
+one output per double, so ``bit_generator.advance`` then puts the
+generator at its start plus n outputs per cycle run: back over the rows a
+stop or a settling left unused, forward over settled cycles, up to the
+cap for an absorbing state.
 """
 
 from __future__ import annotations
@@ -109,10 +107,10 @@ def _initial_state(n: int, innovator: int) -> np.ndarray:
     return m
 
 
-# At most this many uniforms (64 KiB) per block of rows, one row per cycle;
-# settled cycles compute a block of states of the same size.  Blocks of
-# 128 KiB (64 rows of 256 nodes) raised the peak RSS of a sweep worker by
-# about 0.4 MB over drawing one row per cycle; 64 KiB blocks do not.
+# At most this many values (64 KiB) per block of rows, one row per cycle:
+# uniforms in full cycles, states in settled ones.  Blocks of 128 KiB (64
+# rows of 256 nodes) raised the peak RSS of a sweep worker by about 0.4 MB
+# over drawing one row per cycle; 64 KiB blocks do not.
 _MAX_DRAW = 8192
 
 
@@ -124,18 +122,6 @@ def _cycle(m, u, rule, owner, indices, inv_deg, alpha, c):
     s = u < rule(m)
     inp = np.bincount(owner, s[indices]) * inv_deg
     return alpha * inp + c * m, s, inp
-
-
-def _rewind(rng, state, uniforms, used):
-    """Leave ``rng`` where drawing only the first ``used`` rows of the
-    block ``uniforms``, drawn from ``state``, would have left it.
-
-    Restoring the state keeps the buffered uint32 that network growth may
-    have left, which ``bit_generator.advance`` would clear.
-    """
-    if used < len(uniforms):
-        rng.bit_generator.state = state
-        rng.random(used * uniforms.shape[1])
 
 
 def _on_side(x, s, thr):
@@ -177,9 +163,9 @@ def simulate_run(
     cycles advance the states by the update map alone, until a state
     leaves its side and full cycles resume.  An absorbing state ends the
     run as the cycle cap would: ``t_final == max_iters``, and the trace is
-    padded with the unchanging mean.  Outcome, final states, trace and,
-    for every run not stopped at ``max_iters``, the state of ``rng`` equal
-    those of the full cycle loop.
+    padded with the unchanging mean.  Outcome, final states, trace and
+    the state of ``rng``, a PCG64 generator as ``np.random.default_rng``
+    makes, equal those of the full cycle loop.
     """
     if net.n == 0 or int(net.degrees.min()) < 1:
         raise ValueError("simulation requires every node to have at least one neighbor")
@@ -187,6 +173,8 @@ def simulate_run(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise ValueError(f"rng must be a PCG64 generator, got {rng.bit_generator!r}")
     b = np.asarray(beta, dtype=np.float64)
     if b.shape not in ((), (net.n,)):
         raise ValueError(f"beta must be a scalar or one value per node ({net.n}), "
@@ -209,11 +197,14 @@ def simulate_run(
     terminated_by = None
     t = 0
     held = None  # alpha * input of the settled signals s; None in full cycles
-    rows = max(1, _MAX_DRAW // net.n)
+    n = int(net.n)  # advance takes Python ints, not numpy ones
+    rows = max(1, _MAX_DRAW // n)
+    bits = rng.bit_generator
+    start = bits.state
     while terminated_by is None and t < max_iters:
-        state = rng.bit_generator.state
-        uniforms = rng.random((min(rows, max_iters - t), net.n))
+        k = int(min(rows, max_iters - t))
         if held is None:
+            uniforms = rng.random((k, n))
             for used, u in enumerate(uniforms, 1):
                 m, s, inp = _cycle(m, u, rule, owner, indices, inv_deg, alpha, c)
                 if mbar_trace is not None:
@@ -228,11 +219,12 @@ def simulate_run(
                 if thr is not None and _settled(m, s, inp, thr):
                     held = alpha * inp
                     break
+            bits.advance((used - k) * n)
         else:
             # Each row is alpha * inp + (1 - alpha) * x, a full cycle's
             # arithmetic; stop at the first row that reaches consensus,
             # repeats the row before it or leaves a node's side.
-            x = np.empty_like(uniforms)
+            x = np.empty((k, n))
             prev = m
             for row in x:
                 np.multiply(c, prev, out=row)
@@ -249,7 +241,7 @@ def simulate_run(
             if same[used - 1]:
                 if mbar_trace is not None:
                     mbar_trace.extend([mbar_trace[-1]] * (max_iters - t - used))
-                t = max_iters - used  # the absorbing state holds to the cap
+                used = int(max_iters - t)  # the absorbing state holds to the cap
                 terminated_by = MAX_ITERATIONS
             elif zero[used - 1]:
                 terminated_by = CONSENSUS_ZERO
@@ -257,9 +249,12 @@ def simulate_run(
                 terminated_by = CONSENSUS_ONE
             elif stop[used - 1]:
                 held = None
+            bits.advance(used * n)
         t += used
-        _rewind(rng, state, uniforms, used)
 
+    # Put back the uint32 growth may have buffered: advance clears it.
+    end = bits.state
+    bits.state = {**end, "has_uint32": start["has_uint32"], "uinteger": start["uinteger"]}
     return RunOutcome(float(m.mean()), t, terminated_by or MAX_ITERATIONS), m
 
 

@@ -151,7 +151,9 @@ def prepare_run(
     on ``rng``.  net, innovator and beta are None when the regeneration
     limit is exhausted.
     """
-    _require_integers(run_index=run_index, regen_limit=regen_limit)
+    _require_integers(master_seed=master_seed, run_index=run_index, regen_limit=regen_limit)
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed!r}")
     if run_index < 0:
         raise ValueError(f"run_index must be non-negative, got {run_index!r}")
     if regen_limit < 1:

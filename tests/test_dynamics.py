@@ -107,6 +107,13 @@ class TestStep:
             with pytest.raises(ValueError, match="^max_iters must be at least 1"):
                 simulate_run(pair(), 0, 60.0, 0.0, np.random.default_rng(0), max_iters=bad)
 
+    def test_rng_validation(self):
+        # The run steps its generator with advance, one output per double;
+        # Philox's advance counts blocks of outputs, and MT19937 has none.
+        for bits in (np.random.Philox(0), np.random.MT19937(0)):
+            with pytest.raises(ValueError, match="^rng must be a PCG64 generator"):
+                simulate_run(pair(), 0, 60.0, 0.0, np.random.Generator(bits))
+
     def test_beta_validation(self):
         # A beta outside [-0.5, 0.5], not finite, or neither a scalar nor
         # one value per node is refused before the run starts.
@@ -245,7 +252,7 @@ def assert_same_run(net, innovator, phi_deg, beta, rng, max_iters, alpha=DEFAULT
     """simulate_run equals reference_run bit for bit.
 
     ``start`` is the initial state when a test replaces the single
-    innovator.  Returns the outcome and whether simulate_run skipped draws.
+    innovator.  Returns the outcome.
     """
     if start is None:
         start = np.zeros(net.n)
@@ -261,7 +268,8 @@ def assert_same_run(net, innovator, phi_deg, beta, rng, max_iters, alpha=DEFAULT
     assert outcome.terminated_by == ref_terminated_by
     assert outcome.mbar_final == float(ref_m.mean())
     assert trace == ref_trace
-    return outcome, rng.bit_generator.state != ref_rng.bit_generator.state
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return outcome
 
 
 @st.composite
@@ -332,8 +340,7 @@ class TestAbsorbingExit:
         for run_index in range(3):
             config = ScenarioConfig(kind=kind, phi_deg=90.0, innovator_degree=8)
             _, rng, net, innovator, _, beta = prepare_run(config, 20260810, run_index)
-            outcome, skipped = assert_same_run(net, innovator, 90.0, beta, rng, 1500)
-            assert skipped == (outcome.terminated_by == MAX_ITERATIONS)
+            assert_same_run(net, innovator, 90.0, beta, rng, 1500)
 
     def test_no_exit_while_a_node_sits_at_its_threshold(self, monkeypatch):
         # Path a2 - a - k - b - b2.  Node k sits exactly on its threshold
@@ -347,8 +354,7 @@ class TestAbsorbingExit:
         rng = np.random.default_rng(0)
         first, _, _ = cycle(start.copy(), net, 90.0, beta, DEFAULT_ALPHA, copy.deepcopy(rng))
         assert np.array_equal(first, start)
-        _, skipped = assert_same_run(net, 0, 90.0, beta, rng, 40, start=start)
-        assert not skipped
+        assert_same_run(net, 0, 90.0, beta, rng, 40, start=start)
 
     def test_settled_state_landing_on_its_threshold_resumes_full_cycles(self, monkeypatch):
         # Hub 0 hears three neighbours that emit 1 (each held up by a leaf
@@ -373,8 +379,7 @@ class TestAbsorbingExit:
         rng = np.random.default_rng(7)
         net = generate_pa_network(64, 2, rng)
         beta = rng.uniform(-0.5, 0.5, 64)
-        _, skipped = assert_same_run(net, 0, 89.0, beta, rng, 300)
-        assert not skipped
+        assert_same_run(net, 0, 89.0, beta, rng, 300)
 
     @given(case=step_rule_starts(), seed=st.integers(0, 2**32 - 1),
            max_iters=st.integers(50, 2000))
@@ -382,9 +387,8 @@ class TestAbsorbingExit:
     def test_fast_forward_matches_reference_loop(self, case, seed, max_iters):
         net, start, beta = case
         with mock.patch.object(dynamics, "_initial_state", lambda n, innovator: start.copy()):
-            outcome, skipped = assert_same_run(net, 0, 90.0, beta, np.random.default_rng(seed),
-                                               max_iters, start=start)
-        assert not skipped or outcome.terminated_by == MAX_ITERATIONS
+            assert_same_run(net, 0, 90.0, beta, np.random.default_rng(seed), max_iters,
+                            start=start)
 
 
 # With dynamics._MAX_DRAW at 8 rows of n, full cycles from the start take
@@ -405,10 +409,9 @@ class TestBlockDraws:
         start = np.full(16, CONSENSUS_EPS / 0.9 ** (stop - 0.5))
         monkeypatch.setattr(dynamics, "_initial_state", lambda n, innovator: start.copy())
         monkeypatch.setattr(dynamics, "_MAX_DRAW", 8 * 16)
-        outcome, skipped = assert_same_run(net, 0, 60.0, 0.5, np.random.default_rng(stop),
-                                           1000, start=start)
+        outcome = assert_same_run(net, 0, 60.0, 0.5, np.random.default_rng(stop),
+                                  1000, start=start)
         assert (outcome.t_final, outcome.terminated_by) == (stop, CONSENSUS_ZERO)
-        assert not skipped
 
     @pytest.mark.parametrize("stop", [s + 1 for s in STOPS_AROUND_BLOCK_ENDS])
     def test_settled_consensus_inside_and_at_block_ends(self, monkeypatch, stop):
@@ -420,11 +423,10 @@ class TestBlockDraws:
         monkeypatch.setattr(dynamics, "_initial_state", lambda n, innovator: start.copy())
         monkeypatch.setattr(dynamics, "_MAX_DRAW", 8 * 16)
         checks = recorded_settled(monkeypatch)
-        outcome, skipped = assert_same_run(net, 0, 90.0, 0.5, np.random.default_rng(stop),
-                                           1000, start=start)
+        outcome = assert_same_run(net, 0, 90.0, 0.5, np.random.default_rng(stop),
+                                  1000, start=start)
         assert (outcome.t_final, outcome.terminated_by) == (stop, CONSENSUS_ZERO)
         assert checks == [True]
-        assert not skipped
 
     @pytest.mark.parametrize("settle", STOPS_AROUND_BLOCK_ENDS)
     def test_step_rule_settles_inside_and_at_block_ends(self, monkeypatch, settle):
@@ -439,11 +441,10 @@ class TestBlockDraws:
         monkeypatch.setattr(dynamics, "_initial_state", lambda n, innovator: start.copy())
         monkeypatch.setattr(dynamics, "_MAX_DRAW", 8 * 2)
         checks = recorded_settled(monkeypatch)
-        outcome, skipped = assert_same_run(net, 0, 90.0, beta, np.random.default_rng(settle),
-                                           1000, start=start)
+        outcome = assert_same_run(net, 0, 90.0, beta, np.random.default_rng(settle),
+                                  1000, start=start)
         assert checks.index(True) + 1 == settle
         assert outcome.terminated_by == CONSENSUS_ZERO
-        assert not skipped
 
 
 class TestNeutralMartingale:

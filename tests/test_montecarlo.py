@@ -119,6 +119,13 @@ class TestPrepareRun:
         with pytest.raises(ValueError, match=rf"^{key} must be "):
             prepare_run(_CONFIG, 1, run_index, regen_limit)
 
+    @pytest.mark.parametrize("master_seed", [-1, 2**64])
+    def test_master_seed_outside_64_bits_rejected(self, master_seed):
+        # The seed mix keeps 64 bits: -1 and 2**64 would replay master seeds
+        # 2**64 - 1 and 0.
+        with pytest.raises(ValueError, match=r"^master_seed must lie in \[0, 2\*\*64\)"):
+            prepare_run(_CONFIG, master_seed, 0)
+
 
 @pytest.mark.parametrize("build, key", [
     pytest.param(lambda: replace(_CONFIG, n=256.0), "n", id="config-n"),
@@ -132,6 +139,8 @@ class TestPrepareRun:
     pytest.param(lambda: prepare_run(_CONFIG, 1, 0, 5.0), "regen_limit",
                  id="prepare_run-regen_limit"),
     pytest.param(lambda: prepare_run(_CONFIG, 1, 0.5), "run_index", id="prepare_run-run_index"),
+    pytest.param(lambda: prepare_run(_CONFIG, 1.5, 0), "master_seed",
+                 id="prepare_run-master_seed"),
     pytest.param(lambda: generate_pa_network(256.0, 2, np.random.default_rng(0)), "n",
                  id="growth-n"),
     pytest.param(lambda: generate_pa_network(256, 2.0, np.random.default_rng(0)), "attach_count",
