@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import _require_integers
+
 __all__ = [
     "FAMILIES",
     "STABLE",
@@ -312,7 +314,6 @@ def tabulate_curve(family: str, params: DecisionParams, n_points: int) -> np.nda
     Returns an array of shape (n_points, 2), ready for CSV export.
     """
     _check_family(family)
-    if n_points < 2:
-        raise ValueError(f"n_points must be at least 2, got {n_points!r}")
+    _require_integers(2, n_points=n_points)
     grid = np.arange(n_points) / (n_points - 1)
     return np.column_stack([grid, _rule(family, params.phi_deg, params.beta)(grid)])

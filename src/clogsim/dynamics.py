@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decision import production_rule, step_threshold
-from .network import Network
+from .network import Network, _require_integers
 
 __all__ = [
     "CONSENSUS_EPS",
@@ -100,7 +100,8 @@ class RunOutcome:
 
 def _initial_state(n: int, innovator: int) -> np.ndarray:
     """All-incumbent population except a single fully convinced innovator."""
-    if not 0 <= innovator < n:
+    _require_integers(0, innovator=innovator)
+    if innovator >= n:
         raise ValueError(f"innovator {innovator!r} out of range for n={n}")
     m = np.zeros(n, dtype=np.float64)
     m[innovator] = 1.0
@@ -171,8 +172,7 @@ def simulate_run(
         raise ValueError("simulation requires every node to have at least one neighbor")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
+    _require_integers(1, max_iters=max_iters)
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise ValueError(f"rng must be a PCG64 generator, got {rng.bit_generator!r}")
     b = np.asarray(beta, dtype=np.float64)

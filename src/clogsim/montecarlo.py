@@ -70,15 +70,9 @@ class SweepSpec:
             # Re-runs the scenario's angle constraints for each grid value.
             replace(self.scenario, phi_deg=float(phi))
         for d in self.degree_list:
-            _require_integers(degrees=d)
-            if d < 1:
-                raise ValueError(f"degrees must be at least 1, got {d!r}")
-        _require_integers(runs=self.runs_per_cell, regen_limit=self.regen_limit,
-                          seed=self.master_seed)
-        if self.runs_per_cell < 1:
-            raise ValueError(f"runs must be at least 1, got {self.runs_per_cell!r}")
-        if self.regen_limit < 1:
-            raise ValueError(f"regen_limit must be at least 1, got {self.regen_limit!r}")
+            _require_integers(1, degrees=d)
+        _require_integers(1, runs=self.runs_per_cell, regen_limit=self.regen_limit)
+        _require_integers(seed=self.master_seed)
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.master_seed!r}")
 
@@ -151,13 +145,11 @@ def prepare_run(
     on ``rng``.  net, innovator and beta are None when the regeneration
     limit is exhausted.
     """
-    _require_integers(master_seed=master_seed, run_index=run_index, regen_limit=regen_limit)
+    _require_integers(master_seed=master_seed)
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed!r}")
-    if run_index < 0:
-        raise ValueError(f"run_index must be non-negative, got {run_index!r}")
-    if regen_limit < 1:
-        raise ValueError(f"regen_limit must be at least 1, got {regen_limit!r}")
+    _require_integers(0, run_index=run_index)
+    _require_integers(1, regen_limit=regen_limit)
     degree = config.innovator_degree
     seed = mix_seed(master_seed, config.kind, config.phi_deg, degree, run_index)
     rng = np.random.default_rng(seed)
@@ -206,8 +198,7 @@ def worker_count(workers: int | None) -> int:
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     if workers is None:
         return cores
-    if workers < 1:
-        raise ValueError(f"workers: must be at least 1, got {workers}")
+    _require_integers(1, workers=workers)
     return min(workers, cores)
 
 
@@ -282,8 +273,7 @@ def empirical_degree_pmf(
     Estimated by pooling the degree counts of ``networks`` independent
     networks (1000 by default, enough for the conditional-degree table).
     """
-    if networks < 1:
-        raise ValueError(f"networks must be at least 1, got {networks!r}")
+    _require_integers(1, networks=networks)
     counts = np.bincount(np.concatenate(
         [generate_pa_network(n, attach_count, rng).degrees for _ in range(networks)]
     ))

@@ -142,11 +142,14 @@ def from_edges(n: int, edges) -> Network:
     return Network(n=n, indptr=indptr, indices=directed % n, degrees=degrees)
 
 
-def _require_integers(**values) -> None:
-    """Raise a ValueError naming the first of ``values`` that is not an integer."""
+def _require_integers(low=None, /, **values) -> None:
+    """Raise a ValueError naming the first of ``values`` that is not an
+    integer (numpy integers included) or, when ``low`` is given, is below it."""
     for key, value in values.items():
         if not isinstance(value, numbers.Integral):
             raise ValueError(f"{key} must be an integer, got {value!r}")
+        if low is not None and value < low:
+            raise ValueError(f"{key} must be at least {low}, got {value!r}")
 
 
 def _rejected(low: int, b: int) -> bool:
@@ -171,11 +174,8 @@ def generate_pa_network(n: int, attach_count: int, rng: np.random.Generator) -> 
     target still to draw, never more than are used: the network and the
     generator's state afterwards are those of one scalar call per target.
     """
-    _require_integers(n=n, attach_count=attach_count)
-    if attach_count < 1:
-        raise ValueError(f"attach_count must be at least 1, got {attach_count!r}")
-    if n < attach_count + 1:
-        raise ValueError(f"need n >= attach_count + 1, got n={n!r}, attach_count={attach_count!r}")
+    _require_integers(1, attach_count=attach_count)
+    _require_integers(attach_count + 1, n=n)
     if n * attach_count >= 1 << 30:
         # Keeps every bound below 2**31, on numpy's 32-bit bounded draw.
         raise ValueError(f"need n * attach_count < 2**30, got n={n!r}, attach_count={attach_count!r}")
@@ -209,10 +209,7 @@ def generate_pa_network(n: int, attach_count: int, rng: np.random.Generator) -> 
         repeated += [node] * a
 
     units = np.fromiter(repeated, dtype=np.int64, count=len(repeated))
-    degrees = np.bincount(units, minlength=n)
-    if int(degrees.min()) < attach_count:
-        raise RuntimeError("preferential attachment produced a degree below attach_count")
-    return Network._grown(n, degrees, units, attach_count)
+    return Network._grown(n, np.bincount(units, minlength=n), units, attach_count)
 
 
 def _bfs(net: Network, source: int) -> np.ndarray:
@@ -239,7 +236,8 @@ def _is_connected(net: Network) -> bool:
 
 def bfs_distances(net: Network, source: int) -> np.ndarray:
     """Hop distance from ``source`` to every node (requires connectivity)."""
-    if not 0 <= source < net.n:
+    _require_integers(0, source=source)
+    if source >= net.n:
         raise ValueError(f"source {source!r} out of range for n={net.n}")
     dist = _bfs(net, source)
     if np.any(dist < 0):
@@ -249,8 +247,7 @@ def bfs_distances(net: Network, source: int) -> np.ndarray:
 
 def find_node_with_degree(net: Network, target_degree: int, rng: np.random.Generator):
     """Uniformly random node of exactly ``target_degree``, or None."""
-    if target_degree < 1:
-        raise ValueError(f"target_degree must be at least 1, got {target_degree!r}")
+    _require_integers(1, target_degree=target_degree)
     candidates = np.flatnonzero(net.degrees == target_degree)
     if candidates.size == 0:
         return None

@@ -61,18 +61,11 @@ class ScenarioConfig:
             raise ValueError("scenario=unbiased requires phi > 45")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
-        _require_integers(n=self.n, attach=self.attach_count, degree=self.innovator_degree,
+        _require_integers(1, attach=self.attach_count, degree=self.innovator_degree,
                           max_iters=self.max_iters)
+        _require_integers(self.attach_count + 1, n=self.n)
         if self.n % 2:
             raise ValueError(f"n must be even (biases are drawn as +/- pairs), got {self.n!r}")
-        if self.attach_count < 1:
-            raise ValueError(f"attach must be at least 1, got {self.attach_count!r}")
-        if self.n < self.attach_count + 1:
-            raise ValueError(f"n must exceed attach ({self.attach_count}), got n={self.n!r}")
-        if self.innovator_degree < 1:
-            raise ValueError(f"degree must be at least 1, got {self.innovator_degree!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
 
 
 def sample_neutral_biases(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -255,6 +255,18 @@ class TestSweep:
         assert (tmp_path / "cells.csv").exists()
 
 
+    def test_out_dir_under_a_file_exit_2(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        out_dir = str(blocker / "out")
+        code, _, err = run_cli(
+            capsys, "sweep", "--scenario", "unbiased", "--phi", "75", "--degrees", "2",
+            "--runs", "1", "--seed", "9", "--n", "64", "--max-iters", "50",
+            "--workers", "1", "--out-dir", out_dir,
+        )
+        assert code == 2
+        assert err.startswith(f"error: cannot create output directory {out_dir}: ")
+
     @pytest.mark.parametrize("flag, key", [("--phi", "phi"), ("--degrees", "degrees")])
     def test_repeated_grid_value_is_usage_error(self, capsys, tmp_path, flag, key):
         grid = {"--phi": "60", "--degrees": "4"}

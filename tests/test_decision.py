@@ -373,6 +373,14 @@ class TestFixedPoints:
         assert fps[0].location == pytest.approx(0.5, abs=1e-12)
         assert fps[0].stability == "stable"
 
+    def test_logistic_45_is_marginal(self):
+        # The logistic's slope at its one fixed point is tan 45 = 1.
+        fps = find_fixed_points("logistic", DecisionParams(45.0))
+        assert len(fps) == 1
+        assert fps[0].location == pytest.approx(0.5, abs=1e-12)
+        assert fps[0].derivative == pytest.approx(1.0, abs=1e-9)
+        assert fps[0].stability == "marginal"
+
     def test_logistic_biased_single_stable(self):
         for beta in (0.2, -0.2):
             fps = find_fixed_points("logistic", DecisionParams(60.0, beta))

@@ -124,9 +124,12 @@ class TestParseSweep:
                                     "--degree", "3", "--seed", str(2**64))
 
     def test_range_rounding_past_its_end_is_empty(self, capsys):
-        # 1.99999999999 prints as 2, which lies beyond the range's end.
-        assert "--phi" in rejected(capsys, "sweep", "--scenario", "random",
-                                   "--phi", "1.99999999999:1.99999999999", "--seed", "1")
+        # 1.99999999999 prints as 2, which lies beyond the range's end.  An
+        # end below the start, a step that is not positive and a fourth part
+        # are rejected alike.
+        for text in ("1.99999999999:1.99999999999", "60:50", "60:70:0", "60:70:-5", "1:2:3:4"):
+            assert "--phi" in rejected(capsys, "sweep", "--scenario", "random",
+                                       "--phi", text, "--seed", "1")
 
 
 class TestParseRun:

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from clogsim.dynamics import COMPLETION_MIN, DOMINANCE_MIN, SURVIVAL_MIN, RunOutcome
+from clogsim.decision import DecisionParams, tabulate_curve
+from clogsim.dynamics import COMPLETION_MIN, DOMINANCE_MIN, SURVIVAL_MIN, RunOutcome, simulate_run
 from clogsim.montecarlo import (
     CELL_DTYPE,
     RUN_DTYPE,
@@ -17,7 +18,7 @@ from clogsim.montecarlo import (
     prepare_run,
     worker_count,
 )
-from clogsim.network import generate_pa_network
+from clogsim.network import bfs_distances, find_node_with_degree, generate_pa_network
 from clogsim.scenarios import ScenarioConfig
 
 
@@ -165,6 +166,54 @@ def test_numpy_integer_sizes_accepted():
     a = generate_pa_network(np.int64(64), np.int64(2), np.random.default_rng(1))
     b = generate_pa_network(64, 2, np.random.default_rng(1))
     assert np.array_equal(a.indices, b.indices)
+
+
+_NET = generate_pa_network(16, 2, np.random.default_rng(0))
+
+
+# Every count or node argument: a call taking the value, its key, its
+# minimum, and a valid value.  A fraction above the minimum must fail as
+# surely as a value below it.
+@pytest.mark.parametrize("call, key, low, ok", [
+    pytest.param(lambda v: replace(_CONFIG, attach_count=v), "attach", 1, 2, id="config-attach"),
+    pytest.param(lambda v: replace(_CONFIG, innovator_degree=v), "degree", 1, 2,
+                 id="config-degree"),
+    pytest.param(lambda v: replace(_CONFIG, max_iters=v), "max_iters", 1, 50,
+                 id="config-max_iters"),
+    pytest.param(lambda v: replace(_CONFIG, n=v), "n", 3, 64, id="config-n"),
+    pytest.param(lambda v: small_spec(degree_list=(v,)), "degrees", 1, 2, id="spec-degrees"),
+    pytest.param(lambda v: small_spec(runs=v), "runs", 1, 2, id="spec-runs"),
+    pytest.param(lambda v: small_spec(regen_limit=v), "regen_limit", 1, 5,
+                 id="spec-regen_limit"),
+    pytest.param(lambda v: prepare_run(_CONFIG, 1, v), "run_index", 0, 0,
+                 id="prepare_run-run_index"),
+    pytest.param(lambda v: prepare_run(_CONFIG, 1, 0, v), "regen_limit", 1, 5,
+                 id="prepare_run-regen_limit"),
+    pytest.param(worker_count, "workers", 1, 1, id="worker_count-workers"),
+    pytest.param(lambda v: empirical_degree_pmf(16, 2, np.random.default_rng(0), networks=v),
+                 "networks", 1, 2, id="degree_pmf-networks"),
+    pytest.param(lambda v: generate_pa_network(16, v, np.random.default_rng(0)),
+                 "attach_count", 1, 2, id="growth-attach_count"),
+    pytest.param(lambda v: generate_pa_network(v, 2, np.random.default_rng(0)), "n", 3, 16,
+                 id="growth-n"),
+    pytest.param(lambda v: find_node_with_degree(_NET, v, np.random.default_rng(0)),
+                 "target_degree", 1, 2, id="find-target_degree"),
+    pytest.param(lambda v: bfs_distances(_NET, v), "source", 0, 1, id="bfs-source"),
+    pytest.param(lambda v: simulate_run(_NET, 0, 60.0, 0.0, np.random.default_rng(0),
+                                        max_iters=v),
+                 "max_iters", 1, 3, id="simulate_run-max_iters"),
+    pytest.param(lambda v: simulate_run(_NET, v, 60.0, 0.0, np.random.default_rng(0),
+                                        max_iters=3),
+                 "innovator", 0, 1, id="simulate_run-innovator"),
+    pytest.param(lambda v: tabulate_curve("clog", DecisionParams(60.0), v), "n_points", 2, 5,
+                 id="tabulate_curve-n_points"),
+])
+def test_count_argument_checked(call, key, low, ok):
+    with pytest.raises(ValueError, match=rf"^{key} must be an integer, got {ok + 0.5!r}$"):
+        call(ok + 0.5)
+    with pytest.raises(ValueError, match=rf"^{key} must be at least {low}, got {low - 1}$"):
+        call(low - 1)
+    call(np.int64(ok))
 
 
 class TestExecuteSweep:

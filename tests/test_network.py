@@ -149,6 +149,15 @@ class TestGeneratePA:
         assert int(net.degrees.min()) >= 3
         assert net.edge_count == 6 + 3 * 96
 
+    @given(attach=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_every_node_brings_attach_count_links(self, attach, data, seed):
+        # The complete seed on a + 1 nodes, then a distinct targets per node.
+        n = data.draw(st.integers(attach + 1, 96))
+        degrees = generate_pa_network(n, attach, np.random.default_rng(seed)).degrees
+        assert degrees.min() == attach
+        assert degrees.sum() == 2 * (attach * (attach + 1) // 2 + (n - attach - 1) * attach)
+
     def test_invalid_sizes(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
