@@ -80,7 +80,7 @@ class DecisionParams:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.phi_deg) and 0.0 <= self.phi_deg <= 90.0):
-            raise ValueError(f"phi_deg must lie in [0, 90], got {self.phi_deg!r}")
+            raise ValueError(f"phi must lie in [0, 90], got {self.phi_deg!r}")
         if not (math.isfinite(self.beta) and -0.5 <= self.beta <= 0.5):
             raise ValueError(f"beta must lie in [-0.5, 0.5], got {self.beta!r}")
 
@@ -120,7 +120,7 @@ def phi_to_tau(phi_deg: float, family: str = "clog") -> float:
     _check_family(family)
     lo = 45.0 if family == "clog" else 0.0
     if not (lo <= phi_deg <= 90.0):
-        raise ValueError(f"{family} angle must lie in [{lo:g}, 90], got {phi_deg!r}")
+        raise ValueError(f"phi must lie in [{lo:g}, 90] for the {family} family, got {phi_deg!r}")
     if phi_deg == lo:
         return math.inf
     if phi_deg == 90.0:
@@ -314,6 +314,6 @@ def tabulate_curve(family: str, params: DecisionParams, n_points: int) -> np.nda
     Returns an array of shape (n_points, 2), ready for CSV export.
     """
     _check_family(family)
-    _require_integers(2, n_points=n_points)
+    _require_integers(2, points=n_points)
     grid = np.arange(n_points) / (n_points - 1)
     return np.column_stack([grid, _rule(family, params.phi_deg, params.beta)(grid)])

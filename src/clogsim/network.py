@@ -106,8 +106,7 @@ def from_edges(n: int, edges) -> Network:
     parallel edges; a range, loop or parallel-edge error names the first
     offending edge in input order.
     """
-    if n < 1:
-        raise ValueError(f"node count must be positive, got {n!r}")
+    _require_integers(1, n=n)
     e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
     if e.size == 0:
         e = e.reshape(0, 2)
@@ -174,11 +173,11 @@ def generate_pa_network(n: int, attach_count: int, rng: np.random.Generator) -> 
     target still to draw, never more than are used: the network and the
     generator's state afterwards are those of one scalar call per target.
     """
-    _require_integers(1, attach_count=attach_count)
+    _require_integers(1, attach=attach_count)
     _require_integers(attach_count + 1, n=n)
     if n * attach_count >= 1 << 30:
         # Keeps every bound below 2**31, on numpy's 32-bit bounded draw.
-        raise ValueError(f"need n * attach_count < 2**30, got n={n!r}, attach_count={attach_count!r}")
+        raise ValueError(f"need n * attach < 2**30, got n={n!r}, attach={attach_count!r}")
 
     a = attach_count
     seed_size = a + 1

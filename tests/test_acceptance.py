@@ -13,6 +13,7 @@ import math
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -305,8 +306,8 @@ def test_criterion_9_determinism_and_parallel_invariance(tmp_path):
             cells, records, spec.scenario.kind, str(out_dir)
         )
         outputs[label] = (
-            open(cells_path, "rb").read(),
-            open(runs_path, "rb").read(),
+            Path(cells_path).read_bytes(),
+            Path(runs_path).read_bytes(),
         )
 
     assert outputs["serial"][0] == outputs["parallel"][0]

@@ -14,6 +14,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def read_csv(path):
+    return list(csv.reader(io.StringIO(path.read_text())))
+
+
+def assert_value_error(capsys, tmp_path, argv, key):
+    """A bad value exits 1 with ``error: <flag> must ...`` and writes nothing;
+    ``argv`` sends every output under ``tmp_path``."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"error: {key} must ")
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestFn:
     def test_curve_to_stdout(self, capsys):
         code, out, err = run_cli(
@@ -66,10 +80,9 @@ class TestFn:
         (("--family", "logistic", "--phi", "95"), "phi"),
         (("--phi", "60", "--beta", "0.7"), "beta"),
     ])
-    def test_error_names_the_flag(self, capsys, argv, key):
-        code, _, err = run_cli(capsys, "fn", *argv)
-        assert code == 1
-        assert err.startswith(f"error: {key}: ")
+    def test_error_names_the_flag(self, capsys, tmp_path, argv, key):
+        argv = ("fn", *argv, "--out", str(tmp_path / "curve.csv"))
+        assert_value_error(capsys, tmp_path, argv, key)
 
 
 class TestNet:
@@ -77,8 +90,8 @@ class TestNet:
         code, out, _ = run_cli(capsys, "net", "--n", "64", "--attach", "2",
                                "--seed", "5", "--out-dir", str(tmp_path))
         assert code == 0
-        edges = list(csv.reader(open(tmp_path / "edges.csv")))
-        nodes = list(csv.reader(open(tmp_path / "nodes.csv")))
+        edges = read_csv(tmp_path / "edges.csv")
+        nodes = read_csv(tmp_path / "nodes.csv")
         assert edges[0] == ["src", "dst"]
         assert nodes[0] == ["id", "degree"]
         assert len(edges) - 1 == 2 * 61 + 3  # seed triangle + 2 per new node
@@ -96,11 +109,11 @@ class TestNet:
     @pytest.mark.parametrize("argv, key", [
         (("--attach", "0"), "attach"),
         (("--n", "2"), "n"),
+        (("--n", "2", "--attach", "2"), "n"),
     ])
     def test_error_names_the_flag(self, capsys, tmp_path, argv, key):
-        code, _, err = run_cli(capsys, "net", "--seed", "1", "--out-dir", str(tmp_path), *argv)
-        assert code == 1
-        assert err.startswith(f"error: {key}: ")
+        assert_value_error(capsys, tmp_path,
+                           ("net", "--seed", "1", "--out-dir", str(tmp_path), *argv), key)
 
 
 class TestRun:
@@ -121,16 +134,16 @@ class TestRun:
             "--dump-trajectory", "--dump-edges",
         )
         assert code == 0
-        nodes = list(csv.reader(open(tmp_path / "nodes.csv")))
+        nodes = read_csv(tmp_path / "nodes.csv")
         assert nodes[0] == ["id", "degree", "beta", "distance", "m_final"]
         assert len(nodes) - 1 == 256
         innovator_rows = [r for r in nodes[1:] if r[3] == "0"]
         assert len(innovator_rows) == 1
         assert int(innovator_rows[0][1]) == 3  # requested degree
-        traj = list(csv.reader(open(tmp_path / "trajectory.csv")))
+        traj = read_csv(tmp_path / "trajectory.csv")
         assert traj[0] == ["t", "mbar"]
         assert traj[1] == ["0", f"{1/256:.9g}"]
-        edges = list(csv.reader(open(tmp_path / "edges.csv")))
+        edges = read_csv(tmp_path / "edges.csv")
         assert edges[0] == ["src", "dst"]
         assert len(edges) - 1 == 509
 
@@ -169,17 +182,15 @@ class TestRun:
     @pytest.mark.parametrize("flag, value, key", [
         ("--regen-limit", "0", "regen_limit"),
         ("--run-index", "-1", "run_index"),
+        ("--phi", "30", "phi"),
+        ("--n", "2", "n"),
     ])
     def test_bad_run_draw_is_usage_error(self, capsys, tmp_path, flag, value, key):
-        code, out, err = run_cli(
-            capsys, "run", "--scenario", "random", "--phi", "60", "--degree", "2",
+        assert_value_error(capsys, tmp_path, (
+            "run", "--scenario", "random", "--phi", "60", "--degree", "2",
             "--seed", "7", "--n", "64", flag, value, "--out-dir", str(tmp_path),
             "--dump-trajectory", "--dump-nodes", "--dump-edges",
-        )
-        assert code == 1
-        assert err.startswith(f"error: {key} must be ")
-        assert out == ""
-        assert list(tmp_path.iterdir()) == []
+        ), key)
 
     def test_impossible_degree_is_runtime_error(self, capsys):
         code, _, err = run_cli(
@@ -203,8 +214,8 @@ class TestSweep:
             "--max-iters", "400", "--workers", "1", "--out-dir", str(tmp_path),
         )
         assert code == 0
-        cells = list(csv.reader(open(tmp_path / "cells.csv")))
-        runs = list(csv.reader(open(tmp_path / "runs.csv")))
+        cells = read_csv(tmp_path / "cells.csv")
+        runs = read_csv(tmp_path / "runs.csv")
         assert len(cells) - 1 == 4
         assert len(runs) - 1 == 8
         assert cells[0][0] == "phi_deg"
@@ -219,7 +230,7 @@ class TestSweep:
             "--runs", "2", "--workers", "1", "--out-dir", str(tmp_path),
         )
         assert code == 0
-        runs = list(csv.reader(open(tmp_path / "runs.csv")))
+        runs = read_csv(tmp_path / "runs.csv")
         assert len(runs) - 1 == 2
 
     def test_bad_config_value_names_file_line_and_flag(self, capsys, tmp_path):
@@ -321,7 +332,7 @@ class TestSweep:
             "--max-iters", "50", "--workers", "1", "--out-dir", str(tmp_path),
         )
         assert code == 0
-        runs = list(csv.reader(open(tmp_path / "runs.csv")))
+        runs = read_csv(tmp_path / "runs.csv")
         assert [r[1] for r in runs[1:]] == ["60.3", "90"]
 
 
@@ -374,7 +385,7 @@ class TestReplay:
             "--workers", "1", "--out-dir", str(tmp_path),
         )
         assert code == 0
-        rows = list(csv.DictReader(open(tmp_path / "runs.csv")))
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "runs.csv").read_text())))
         assert len(rows) == 8
         for row in rows:
             code, out, _ = run_cli(

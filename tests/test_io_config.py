@@ -1,5 +1,6 @@
 import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,7 +233,7 @@ class TestWriteCsv:
     def test_header_and_rows(self, tmp_path):
         path = str(tmp_path / "t.csv")
         write_csv(path, ("a", "b"), [(1, 0.5), (2, None)])
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines == ["a,b", "1,0.5", "2,"]
 
     def test_atomic_no_temp_left(self, tmp_path):
@@ -273,8 +274,8 @@ class TestSweepOutputs:
     def test_line_counts(self, tmp_path):
         spec, cells, records = self._small_sweep()
         cells_path, runs_path = write_sweep_outputs(cells, records, "unbiased", str(tmp_path))
-        assert len(open(cells_path).read().splitlines()) == len(cells) + 1
-        assert len(open(runs_path).read().splitlines()) == len(records) + 1
+        assert len(Path(cells_path).read_text().splitlines()) == len(cells) + 1
+        assert len(Path(runs_path).read_text().splitlines()) == len(records) + 1
 
     def test_chunks_write_the_bytes_of_one(self, tmp_path, monkeypatch):
         # 12 runs written 5 at a time: two full chunks and a short one.
@@ -282,7 +283,7 @@ class TestSweepOutputs:
         whole = write_sweep_outputs(cells, records, "unbiased", str(tmp_path / "a"))[1]
         monkeypatch.setattr(io_config, "_ROWS_PER_CHUNK", 5)
         chunked = write_sweep_outputs(cells, records, "unbiased", str(tmp_path / "b"))[1]
-        assert open(chunked, "rb").read() == open(whole, "rb").read()
+        assert Path(chunked).read_bytes() == Path(whole).read_bytes()
 
     def test_rerun_byte_identical(self, tmp_path):
         spec, cells, records = self._small_sweep()
@@ -291,8 +292,8 @@ class TestSweepOutputs:
         spec2, cells2, records2 = self._small_sweep()
         p2 = write_sweep_outputs(cells2, records2, "unbiased", str(d2))
         for a, b in zip(p1, p2):
-            da = hashlib.sha256(open(a, "rb").read()).hexdigest()
-            db = hashlib.sha256(open(b, "rb").read()).hexdigest()
+            da = hashlib.sha256(Path(a).read_bytes()).hexdigest()
+            db = hashlib.sha256(Path(b).read_bytes()).hexdigest()
             assert da == db
 
     def test_failed_runs_have_blank_fields(self, tmp_path):
@@ -304,6 +305,6 @@ class TestSweepOutputs:
         )
         cells = aggregate_cells(spec, records)
         cells_path, runs_path = write_sweep_outputs(cells, records, "random", str(tmp_path))
-        lines = open(runs_path).read().splitlines()
+        lines = Path(runs_path).read_text().splitlines()
         assert lines[1] == "random,60,40,0,,,regen_failure"
-        assert open(cells_path).read().splitlines()[1] == "60,40,0,0,0,0,,,,1"
+        assert Path(cells_path).read_text().splitlines()[1] == "60,40,0,0,0,0,,,,1"

@@ -18,7 +18,7 @@ from clogsim.montecarlo import (
     prepare_run,
     worker_count,
 )
-from clogsim.network import bfs_distances, find_node_with_degree, generate_pa_network
+from clogsim.network import bfs_distances, find_node_with_degree, from_edges, generate_pa_network
 from clogsim.scenarios import ScenarioConfig
 
 
@@ -144,7 +144,7 @@ class TestPrepareRun:
                  id="prepare_run-master_seed"),
     pytest.param(lambda: generate_pa_network(256.0, 2, np.random.default_rng(0)), "n",
                  id="growth-n"),
-    pytest.param(lambda: generate_pa_network(256, 2.0, np.random.default_rng(0)), "attach_count",
+    pytest.param(lambda: generate_pa_network(256, 2.0, np.random.default_rng(0)), "attach",
                  id="growth-attach_count"),
 ])
 def test_non_integer_size_names_its_key(build, key):
@@ -193,11 +193,12 @@ _NET = generate_pa_network(16, 2, np.random.default_rng(0))
     pytest.param(lambda v: empirical_degree_pmf(16, 2, np.random.default_rng(0), networks=v),
                  "networks", 1, 2, id="degree_pmf-networks"),
     pytest.param(lambda v: generate_pa_network(16, v, np.random.default_rng(0)),
-                 "attach_count", 1, 2, id="growth-attach_count"),
+                 "attach", 1, 2, id="growth-attach_count"),
     pytest.param(lambda v: generate_pa_network(v, 2, np.random.default_rng(0)), "n", 3, 16,
                  id="growth-n"),
     pytest.param(lambda v: find_node_with_degree(_NET, v, np.random.default_rng(0)),
                  "target_degree", 1, 2, id="find-target_degree"),
+    pytest.param(lambda v: from_edges(v, [(0, 1), (1, 2)]), "n", 1, 3, id="from_edges-n"),
     pytest.param(lambda v: bfs_distances(_NET, v), "source", 0, 1, id="bfs-source"),
     pytest.param(lambda v: simulate_run(_NET, 0, 60.0, 0.0, np.random.default_rng(0),
                                         max_iters=v),
@@ -205,12 +206,14 @@ _NET = generate_pa_network(16, 2, np.random.default_rng(0))
     pytest.param(lambda v: simulate_run(_NET, v, 60.0, 0.0, np.random.default_rng(0),
                                         max_iters=3),
                  "innovator", 0, 1, id="simulate_run-innovator"),
-    pytest.param(lambda v: tabulate_curve("clog", DecisionParams(60.0), v), "n_points", 2, 5,
+    pytest.param(lambda v: tabulate_curve("clog", DecisionParams(60.0), v), "points", 2, 5,
                  id="tabulate_curve-n_points"),
 ])
 def test_count_argument_checked(call, key, low, ok):
-    with pytest.raises(ValueError, match=rf"^{key} must be an integer, got {ok + 0.5!r}$"):
-        call(ok + 0.5)
+    # An integral float such as 256.0 is refused too.
+    for bad in (ok + 0.5, float(ok)):
+        with pytest.raises(ValueError, match=rf"^{key} must be an integer, got {bad!r}$"):
+            call(bad)
     with pytest.raises(ValueError, match=rf"^{key} must be at least {low}, got {low - 1}$"):
         call(low - 1)
     call(np.int64(ok))

@@ -87,7 +87,7 @@ class TestFromEdges:
             from_edges(3, edges)
 
     def test_rejects_empty_node_set(self):
-        with pytest.raises(ValueError, match="^node count must be positive, got 0$"):
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
             from_edges(0, [])
 
     def test_rejects_non_pairs(self):
