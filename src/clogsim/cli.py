@@ -63,12 +63,9 @@ def _seed(text: str) -> int:
 
 def _grid(conv):
     """argparse type of a sweep grid axis: a comma list (``45,60,90``) or
-    an inclusive range (``2:20`` / ``2:20:3``) of ``conv`` values.
-
-    Every value must be the one its 9-digit CSV text parses back to, so a
-    printed grid value replays the same seed.  Range values ``lo + k*step``
-    are replaced by that value; a list value that differs from it, a step
-    too fine for the text, or an empty range is rejected.
+    an inclusive range (``2:20`` / ``2:20:3``) of ``conv`` values.  A range
+    value ``lo + k*step`` becomes the value its 9-digit CSV text parses back
+    to; a step too fine for the text, or an empty range, is rejected.
     """
 
     def parse(text: str) -> tuple:
@@ -94,13 +91,6 @@ def _grid(conv):
             raise argparse.ArgumentTypeError(
                 f"expected a comma list or lo:hi[:step] range, got {text!r}"
             ) from None
-        for v in values:
-            printed = format_field(v)
-            if printed and conv(printed) != v:
-                raise argparse.ArgumentTypeError(
-                    f"{v!r} prints as {printed} in sweep outputs, which would "
-                    f"replay a different seed; give at most 9 significant digits"
-                )
         return tuple(values)
 
     return parse

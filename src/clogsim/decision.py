@@ -58,14 +58,9 @@ SLOPE_TOL = 1e-6
 _DIFF_H = 1e-6
 
 
-def _check_family(family: str) -> None:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown decision family {family!r}; expected one of {FAMILIES}")
-
-
 @dataclass(frozen=True)
 class DecisionParams:
-    """Decision-rule parameters for one individual.
+    """Decision-rule parameters for one individual, checked where they are used.
 
     phi_deg: categoriality, the slope angle in degrees at the curve's
         inflection point.  45 is probability matching and 90 an absolute
@@ -77,12 +72,6 @@ class DecisionParams:
 
     phi_deg: float
     beta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.phi_deg) and 0.0 <= self.phi_deg <= 90.0):
-            raise ValueError(f"phi must lie in [0, 90], got {self.phi_deg!r}")
-        if not (math.isfinite(self.beta) and -0.5 <= self.beta <= 0.5):
-            raise ValueError(f"beta must lie in [-0.5, 0.5], got {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +106,8 @@ def phi_to_tau(phi_deg: float, family: str = "clog") -> float:
     The lower endpoint maps to +inf (identity / constant limit) and 90 deg
     maps to 0 (step limit).
     """
-    _check_family(family)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown decision family {family!r}; expected one of {FAMILIES}")
     lo = 45.0 if family == "clog" else 0.0
     if not (lo <= phi_deg <= 90.0):
         raise ValueError(f"phi must lie in [{lo:g}, 90] for the {family} family, got {phi_deg!r}")
@@ -172,8 +162,13 @@ def _step_kernel(m: np.ndarray, thr, at_threshold) -> np.ndarray:
 
 
 def _rule(family: str, phi_deg: float, beta):
-    """Vectorized m -> f(m) closure for ``family``, angle resolved once."""
-    tau = phi_to_tau(phi_deg, family)  # validates the family and the angle
+    """Vectorized m -> f(m) closure for ``family``, angle resolved once: the
+    one check of the family, the angle and each bias in ``beta`` (NaN too)."""
+    tau = phi_to_tau(phi_deg, family)
+    bad = np.asarray(beta, dtype=np.float64)
+    bad = bad[~(np.abs(bad) <= 0.5)]
+    if bad.size:
+        raise ValueError(f"beta must lie in [-0.5, 0.5], got {float(bad[0])!r}")
     if phi_deg == 90.0:
         # Pointwise limit: the threshold stays at 0.5 + beta for every tau.
         # At the threshold the clog keeps the value 0.5 + beta, while the
@@ -278,10 +273,9 @@ def find_fixed_points(family: str, params: DecisionParams):
     For the clog at phi = 45 every point is fixed; the distinguished
     :data:`IDENTITY_CONTINUUM` is returned instead of a list.
     """
+    rule = _rule(family, params.phi_deg, params.beta)
     if family == "clog" and params.phi_deg == 45.0:
         return IDENTITY_CONTINUUM
-
-    rule = _rule(family, params.phi_deg, params.beta)
     grid = np.arange(SCAN_INTERVALS + 1) / SCAN_INTERVALS
     g = rule(grid) - grid
 
@@ -313,7 +307,7 @@ def tabulate_curve(family: str, params: DecisionParams, n_points: int) -> np.nda
 
     Returns an array of shape (n_points, 2), ready for CSV export.
     """
-    _check_family(family)
+    rule = _rule(family, params.phi_deg, params.beta)
     _require_integers(2, points=n_points)
     grid = np.arange(n_points) / (n_points - 1)
-    return np.column_stack([grid, _rule(family, params.phi_deg, params.beta)(grid)])
+    return np.column_stack([grid, rule(grid)])

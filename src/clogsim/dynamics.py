@@ -179,9 +179,6 @@ def simulate_run(
     if b.shape not in ((), (net.n,)):
         raise ValueError(f"beta must be a scalar or one value per node ({net.n}), "
                          f"got shape {b.shape}")
-    bad = b[~(np.abs(b) <= 0.5)]
-    if bad.size:
-        raise ValueError(f"beta must lie in [-0.5, 0.5], got {float(bad[0])!r}")
 
     m = _initial_state(net.n, innovator)
     rule = production_rule(phi_deg, beta)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .dynamics import CONSENSUS_ONE, CONSENSUS_ZERO, MAX_ITERATIONS, OUTCOMES, outcome_level
 from .dynamics import run_to_completion
+from .io_config import format_field
 from .network import _require_integers, find_node_with_degree, generate_pa_network
 from .scenarios import KINDS, ScenarioConfig, scenario_biases
 
@@ -51,7 +52,8 @@ DEFAULT_REGEN_LIMIT = 1000
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A sweep grid: scenario template x phi list x degree list x runs."""
+    """A sweep grid: scenario template x phi list x degree list x runs.
+    Each phi must be the value its 9-digit CSV text parses back to."""
 
     scenario: ScenarioConfig
     phi_list: tuple
@@ -66,9 +68,15 @@ class SweepSpec:
                 raise ValueError(f"{name} list must not be empty")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} list repeats a value: {list(values)}")
-        for phi in self.phi_list:
+        for phi in map(float, self.phi_list):
             # Re-runs the scenario's angle constraints for each grid value.
-            replace(self.scenario, phi_deg=float(phi))
+            replace(self.scenario, phi_deg=phi)
+            # A printed value must seed the run it names.  ``phi`` is a Python
+            # float: numpy 2 would compare with an np.float32 in float32.
+            text = format_field(phi)
+            if float(text) != phi:
+                raise ValueError(f"phi {phi!r} prints as {text} in sweep outputs, which would "
+                                 "replay a different seed; give at most 9 significant digits")
         for d in self.degree_list:
             _require_integers(1, degrees=d)
         _require_integers(1, runs=self.runs_per_cell, regen_limit=self.regen_limit)

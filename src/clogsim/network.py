@@ -177,7 +177,8 @@ def generate_pa_network(n: int, attach_count: int, rng: np.random.Generator) -> 
     _require_integers(attach_count + 1, n=n)
     if n * attach_count >= 1 << 30:
         # Keeps every bound below 2**31, on numpy's 32-bit bounded draw.
-        raise ValueError(f"need n * attach < 2**30, got n={n!r}, attach={attach_count!r}")
+        raise ValueError(f"n must be at most {((1 << 30) - 1) // attach_count} "
+                         f"(n * attach < 2**30), got {n!r}")
 
     a = attach_count
     seed_size = a + 1

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decision import phi_to_tau
 from .dynamics import DEFAULT_ALPHA, DEFAULT_MAX_ITERS
 from .network import Network, _require_integers, bfs_distances
 
@@ -53,12 +54,11 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"scenario must be one of {KINDS}, got {self.kind!r}")
-        if not 45.0 <= self.phi_deg <= 90.0:
-            raise ValueError(f"phi must lie in [45, 90], got {self.phi_deg!r}")
+        phi_to_tau(self.phi_deg)  # the clog's angle range
         if self.kind == "neutral" and self.phi_deg != 45.0:
-            raise ValueError(f"scenario=neutral forces phi=45, got phi={self.phi_deg!r}")
+            raise ValueError(f"phi must be 45 in the neutral scenario, got {self.phi_deg!r}")
         if self.kind == "unbiased" and self.phi_deg == 45.0:
-            raise ValueError("scenario=unbiased requires phi > 45")
+            raise ValueError(f"phi must exceed 45 in the unbiased scenario, got {self.phi_deg!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
         _require_integers(1, attach=self.attach_count, degree=self.innovator_degree,

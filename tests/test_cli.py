@@ -69,9 +69,16 @@ class TestFn:
         assert target.read_text().splitlines()[0] == "m,f_m"
 
     def test_bad_angle_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "fn", "--phi", "30")
-        assert code == 1
-        assert "45" in err
+        # The family's own range, for an angle below it or above it.
+        for argv, family_range in (
+            (("--phi", "30"), "[45, 90] for the clog family"),
+            (("--phi", "100"), "[45, 90] for the clog family"),
+            (("--phi", "100", "--fixed-points"), "[45, 90] for the clog family"),
+            (("--family", "logistic", "--phi", "95"), "[0, 90] for the logistic family"),
+        ):
+            code, _, err = run_cli(capsys, "fn", *argv)
+            assert code == 1
+            assert f"error: phi must lie in {family_range}, got " in err
 
     @pytest.mark.parametrize("argv, key", [
         (("--phi", "60", "--points", "1"), "points"),
@@ -79,6 +86,7 @@ class TestFn:
         (("--phi", "30", "--fixed-points"), "phi"),
         (("--family", "logistic", "--phi", "95"), "phi"),
         (("--phi", "60", "--beta", "0.7"), "beta"),
+        (("--phi", "45", "--beta", "0.9", "--fixed-points"), "beta"),
     ])
     def test_error_names_the_flag(self, capsys, tmp_path, argv, key):
         argv = ("fn", *argv, "--out", str(tmp_path / "curve.csv"))
@@ -110,6 +118,7 @@ class TestNet:
         (("--attach", "0"), "attach"),
         (("--n", "2"), "n"),
         (("--n", "2", "--attach", "2"), "n"),
+        (("--n", "400000000", "--attach", "3"), "n"),
     ])
     def test_error_names_the_flag(self, capsys, tmp_path, argv, key):
         assert_value_error(capsys, tmp_path,
@@ -184,6 +193,7 @@ class TestRun:
         ("--run-index", "-1", "run_index"),
         ("--phi", "30", "phi"),
         ("--n", "2", "n"),
+        ("--scenario", "neutral", "phi"),
     ])
     def test_bad_run_draw_is_usage_error(self, capsys, tmp_path, flag, value, key):
         assert_value_error(capsys, tmp_path, (
@@ -323,7 +333,7 @@ class TestSweep:
             "--degrees", "4", "--runs", "1", "--seed", "5", "--out-dir", str(tmp_path),
         )
         assert code == 1
-        assert "phi" in err
+        assert err.startswith("error: phi 60.0000000001 prints as 60 in sweep outputs, ")
 
     def test_list_values_with_csv_digits_accepted(self, capsys, tmp_path):
         code, _, _ = run_cli(

@@ -24,6 +24,9 @@ from clogsim.decision import (
     production_rule,
     tabulate_curve,
 )
+from clogsim.dynamics import simulate_run
+from clogsim.network import from_edges
+from clogsim.scenarios import ScenarioConfig
 
 mp.mp.dps = 50
 
@@ -428,11 +431,49 @@ class TestTabulateCurve:
 
 class TestDecisionParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DecisionParams(95.0)
-        with pytest.raises(ValueError):
-            DecisionParams(-1.0)
-        with pytest.raises(ValueError):
-            DecisionParams(60.0, 0.6)
-        with pytest.raises(ValueError):
-            DecisionParams(math.nan)
+        # A plain record: each bad value is built without complaint and
+        # refused, naming its key, wherever a rule is made from it.
+        for params, key in ((DecisionParams(95.0), "phi"), (DecisionParams(-1.0), "phi"),
+                            (DecisionParams(60.0, 0.6), "beta"),
+                            (DecisionParams(math.nan), "phi")):
+            for evaluate in (clog_eval, logistic_eval):
+                with pytest.raises(ValueError, match=rf"^{key} must lie in "):
+                    evaluate(0.5, params)
+
+
+_STAR = from_edges(5, [(0, k) for k in range(1, 5)])
+
+# Every caller of the rule factory, as (family, call(params)).
+_CONSUMERS = {
+    "clog_eval": ("clog", lambda p: clog_eval(0.5, p)),
+    "logistic_eval": ("logistic", lambda p: logistic_eval(0.5, p)),
+    "find_fixed_points-clog": ("clog", lambda p: find_fixed_points("clog", p)),
+    "find_fixed_points-logistic": ("logistic", lambda p: find_fixed_points("logistic", p)),
+    "tabulate_curve-clog": ("clog", lambda p: tabulate_curve("clog", p, 5)),
+    "tabulate_curve-logistic": ("logistic", lambda p: tabulate_curve("logistic", p, 5)),
+    "production_rule": ("clog", lambda p: production_rule(p.phi_deg, p.beta)),
+    "simulate_run": ("clog", lambda p: simulate_run(_STAR, 0, p.phi_deg, p.beta,
+                                                    np.random.default_rng(0), max_iters=3)),
+    "ScenarioConfig": ("clog", lambda p: ScenarioConfig("random", p.phi_deg)),
+}
+
+
+def _bad_rule_inputs():
+    """An angle just outside each end of the consumer's family range, then a
+    bias of 0.6 or NaN at each branch of the rule (the clog at 45 included);
+    a scenario takes no bias."""
+    for name, (family, _) in _CONSUMERS.items():
+        lo = 45.0 if family == "clog" else 0.0
+        for phi in (lo - 1.0, 90.5):
+            yield pytest.param(name, phi, 0.0, rf"phi must lie in \[{lo:g}, 90\] for the "
+                               rf"{family} family, got {phi!r}", id=f"{name}-phi{phi:g}")
+        for phi in (lo, 60.0, 90.0) if name != "ScenarioConfig" else ():
+            for beta in (0.6, math.nan):
+                yield pytest.param(name, phi, beta, rf"beta must lie in \[-0\.5, 0\.5\], "
+                                   rf"got {beta!r}", id=f"{name}-phi{phi:g}-beta{beta}")
+
+
+@pytest.mark.parametrize("consumer, phi, beta, message", _bad_rule_inputs())
+def test_rule_consumer_names_bad_angle_or_bias(consumer, phi, beta, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _CONSUMERS[consumer][1](DecisionParams(phi, beta))

@@ -2,9 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clogsim.decision import DecisionParams, tabulate_curve
 from clogsim.dynamics import COMPLETION_MIN, DOMINANCE_MIN, SURVIVAL_MIN, RunOutcome, simulate_run
+from clogsim.io_config import format_field
 from clogsim.montecarlo import (
     CELL_DTYPE,
     RUN_DTYPE,
@@ -120,36 +123,16 @@ class TestPrepareRun:
         with pytest.raises(ValueError, match=rf"^{key} must be "):
             prepare_run(_CONFIG, 1, run_index, regen_limit)
 
-    @pytest.mark.parametrize("master_seed", [-1, 2**64])
-    def test_master_seed_outside_64_bits_rejected(self, master_seed):
+    @pytest.mark.parametrize("master_seed, message", [
+        pytest.param(-1, r"lie in \[0, 2\*\*64\)", id="-1"),
+        pytest.param(2**64, r"lie in \[0, 2\*\*64\)", id=str(2**64)),
+        pytest.param(1.5, "be an integer, got 1.5", id="1.5"),
+    ])
+    def test_master_seed_outside_64_bits_rejected(self, master_seed, message):
         # The seed mix keeps 64 bits: -1 and 2**64 would replay master seeds
         # 2**64 - 1 and 0.
-        with pytest.raises(ValueError, match=r"^master_seed must lie in \[0, 2\*\*64\)"):
+        with pytest.raises(ValueError, match=rf"^master_seed must {message}"):
             prepare_run(_CONFIG, master_seed, 0)
-
-
-@pytest.mark.parametrize("build, key", [
-    pytest.param(lambda: replace(_CONFIG, n=256.0), "n", id="config-n"),
-    pytest.param(lambda: replace(_CONFIG, attach_count=2.0), "attach", id="config-attach"),
-    pytest.param(lambda: replace(_CONFIG, innovator_degree=4.5), "degree", id="config-degree"),
-    pytest.param(lambda: replace(_CONFIG, max_iters=100.0), "max_iters", id="config-max_iters"),
-    pytest.param(lambda: small_spec(degree_list=(2.5,)), "degrees", id="spec-degrees"),
-    pytest.param(lambda: small_spec(runs=2.0), "runs", id="spec-runs"),
-    pytest.param(lambda: small_spec(seed=1.5), "seed", id="spec-seed"),
-    pytest.param(lambda: small_spec(regen_limit=5.0), "regen_limit", id="spec-regen_limit"),
-    pytest.param(lambda: prepare_run(_CONFIG, 1, 0, 5.0), "regen_limit",
-                 id="prepare_run-regen_limit"),
-    pytest.param(lambda: prepare_run(_CONFIG, 1, 0.5), "run_index", id="prepare_run-run_index"),
-    pytest.param(lambda: prepare_run(_CONFIG, 1.5, 0), "master_seed",
-                 id="prepare_run-master_seed"),
-    pytest.param(lambda: generate_pa_network(256.0, 2, np.random.default_rng(0)), "n",
-                 id="growth-n"),
-    pytest.param(lambda: generate_pa_network(256, 2.0, np.random.default_rng(0)), "attach",
-                 id="growth-attach_count"),
-])
-def test_non_integer_size_names_its_key(build, key):
-    with pytest.raises(ValueError, match=rf"^{key} must be an integer, got "):
-        build()
 
 
 def test_numpy_integer_sizes_accepted():
@@ -291,6 +274,26 @@ class TestExecuteSweep:
         with pytest.raises(ValueError, match="degrees list repeats"):
             small_spec(degree_list=(4, 4))
 
+    def test_phi_that_prints_as_another_value_rejected(self):
+        # 298 of these 301 np.arange values, and np.float32(60.1), differ
+        # from the value their 9-digit CSV text reads back as.
+        for phi_list in (tuple(np.arange(60, 90.05, 0.1)), (np.float32(60.1),)):
+            with pytest.raises(ValueError, match=r"^phi \S+ prints as \S+ in sweep outputs"):
+                small_spec(kind="random", phi_list=phi_list)
+
+    @given(phi=st.one_of(st.floats(45.0, 90.0), st.floats(45.0, 90.0, width=32).map(np.float32),
+                         st.integers(4500, 9000).map(lambda k: k / 100)))
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_phi_replays_from_its_csv_text(self, phi):
+        try:
+            small_spec(kind="random", phi_list=(phi,))
+        except ValueError as e:
+            assert str(e).startswith(f"phi {float(phi)!r} prints as ")
+            return
+        # runs.csv prints the float64 value that seeded the run.
+        replayed = float(format_field(float(phi)))
+        assert mix_seed(7, "random", replayed, 2, 3) == mix_seed(7, "random", phi, 2, 3)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             small_spec(phi_list=())
@@ -321,6 +324,8 @@ class TestExecuteSweep:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="seed"):
                 small_spec(seed=seed)
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+            small_spec(seed=1.5)
         assert small_spec(seed=2**64 - 1).master_seed == 2**64 - 1
 
 

@@ -23,12 +23,14 @@ def paired_sum_is_zero(values):
 class TestScenarioConfig:
     def test_neutral_forces_45(self):
         ScenarioConfig(kind="neutral", phi_deg=45.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^phi must be 45 in the neutral scenario, got 60\.0$"):
             ScenarioConfig(kind="neutral", phi_deg=60.0)
 
     def test_unbiased_needs_categoriality(self):
         ScenarioConfig(kind="unbiased", phi_deg=60.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^phi must exceed 45 in the unbiased scenario, got 45\.0$"):
             ScenarioConfig(kind="unbiased", phi_deg=45.0)
 
     def test_even_population(self):
