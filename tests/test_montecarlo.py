@@ -123,16 +123,23 @@ class TestPrepareRun:
         with pytest.raises(ValueError, match=rf"^{key} must be "):
             prepare_run(_CONFIG, 1, run_index, regen_limit)
 
-    @pytest.mark.parametrize("master_seed, message", [
-        pytest.param(-1, r"lie in \[0, 2\*\*64\)", id="-1"),
-        pytest.param(2**64, r"lie in \[0, 2\*\*64\)", id=str(2**64)),
-        pytest.param(1.5, "be an integer, got 1.5", id="1.5"),
-    ])
-    def test_master_seed_outside_64_bits_rejected(self, master_seed, message):
+    @pytest.mark.parametrize("master_seed", [-1, 2**64])
+    def test_master_seed_outside_64_bits_rejected(self, master_seed):
         # The seed mix keeps 64 bits: -1 and 2**64 would replay master seeds
         # 2**64 - 1 and 0.
-        with pytest.raises(ValueError, match=rf"^master_seed must {message}"):
+        with pytest.raises(ValueError, match=r"^master_seed must lie in \[0, 2\*\*64\)"):
             prepare_run(_CONFIG, master_seed, 0)
+
+
+# Seeds are not counts, but a fraction must fail with the same message.
+@pytest.mark.parametrize("build, key", [
+    pytest.param(lambda: small_spec(seed=1.5), "seed", id="spec-seed"),
+    pytest.param(lambda: prepare_run(_CONFIG, 1.5, 0), "master_seed",
+                 id="prepare_run-master_seed"),
+])
+def test_non_integer_size_names_its_key(build, key):
+    with pytest.raises(ValueError, match=rf"^{key} must be an integer, got 1\.5$"):
+        build()
 
 
 def test_numpy_integer_sizes_accepted():
@@ -324,8 +331,6 @@ class TestExecuteSweep:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="seed"):
                 small_spec(seed=seed)
-        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
-            small_spec(seed=1.5)
         assert small_spec(seed=2**64 - 1).master_seed == 2**64 - 1
 
 
