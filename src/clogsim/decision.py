@@ -138,6 +138,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, r, out=r, where=x >= 0)
 
 
+@np.errstate(divide="ignore")
 def _clog_kernel(m: np.ndarray, h: float, beta) -> np.ndarray:
     # Log-odds form L = ln(m/(1-m)) + (2m - 1 - 2 beta)/tau: the direct
     # exponential form overflows once tau is small.  At m = 0 and m = 1,
@@ -151,10 +152,9 @@ def _clog_kernel(m: np.ndarray, h: float, beta) -> np.ndarray:
     # a difference that lands among the subnormals is exact, and tau/2 is
     # a normal number at every interior angle.  So each intermediate is
     # exactly half of its doubled counterpart, and both quotients are the
-    # rounding of one real number.
-    with np.errstate(divide="ignore"):
-        L = np.log(m / (1.0 - m)) + (m - 0.5 - beta) / h
-    return _sigmoid(L)
+    # rounding of one real number.  The decorator silences the divides of
+    # m = 0 and 1 for this call alone and builds no context object per call.
+    return _sigmoid(np.log(m / (1.0 - m)) + (m - 0.5 - beta) / h)
 
 
 def _step_kernel(m: np.ndarray, thr, at_threshold) -> np.ndarray:

@@ -25,7 +25,11 @@ trace and generator state equal those of the full cycle loop.
 Cycles run in blocks of one size, one row of n per cycle: 8,192 values
 (32 cycles of 256 nodes), the last block of a run cut to its cycle cap.
 Full cycles draw a block with one ``rng.random((k, n))``, the same doubles
-as k calls of ``rng.random(n)``; settled cycles draw nothing.  PCG64 takes
+as k calls of ``rng.random(n)``, and each cycle writes its states over the
+row of uniforms it has just used; settled cycles draw nothing.  Either way
+the block ends holding one row of states per cycle, and one test over its
+rows finds the first stop: consensus, or in settled cycles a repeated row
+or a state off its side.  Rows after the stop are discarded.  PCG64 takes
 one output per double, so ``bit_generator.advance`` then puts the
 generator at its start plus n outputs per cycle run: back over the rows a
 stop or a settling left unused, forward over settled cycles, up to the
@@ -109,20 +113,21 @@ def _initial_state(n: int, innovator: int) -> np.ndarray:
 
 
 # At most this many values (64 KiB) per block of rows, one row per cycle:
-# uniforms in full cycles, states in settled ones.  Blocks of 128 KiB (64
-# rows of 256 nodes) raised the peak RSS of a sweep worker by about 0.4 MB
-# over drawing one row per cycle; 64 KiB blocks do not.
+# uniforms, then states, in full cycles; states in settled ones.  Blocks
+# of 128 KiB (64 rows of 256 nodes) raised the peak RSS of a sweep worker
+# by about 0.4 MB over drawing one row per cycle; 64 KiB blocks do not.
 _MAX_DRAW = 8192
 
 
 def _cycle(m, u, rule, owner, indices, inv_deg, alpha, c):
     # Phase 1: produce from the uniforms ``u``.  Phase 2: average neighbor
-    # signals and update; ``c`` is 1 - alpha.  Node owner[k] hears node
-    # indices[k] (see Network.owner).  A node's signal count is a sum of
-    # 0/1, exact in any order, so bincount gives the CSR row sums exactly.
+    # signals and write the new states over ``u``; ``c`` is 1 - alpha.  Node
+    # owner[k] hears node indices[k] (see Network.owner).  A node's signal
+    # count is a sum of 0/1, exact in any order, so bincount gives the CSR
+    # row sums exactly.
     s = u < rule(m)
     inp = np.bincount(owner, s[indices]) * inv_deg
-    return alpha * inp + c * m, s, inp
+    return np.add(np.multiply(c, m, u), alpha * inp, u), s, inp
 
 
 def _on_side(x, s, thr):
@@ -158,8 +163,8 @@ def simulate_run(
     If ``mbar_trace`` is a list, the population mean is appended each cycle
     (index = cycle, starting with the initial state at index 0).
 
-    Each block of uniforms is consumed in one of two modes.  Full cycles
-    run the rule and gather signals.  At ``phi_deg == 90``, once the
+    Each block of cycles runs in one of two modes.  Full cycles run the
+    rule and gather signals.  At ``phi_deg == 90``, once the
     signals are settled (see the module docstring), the next blocks'
     cycles advance the states by the update map alone, until a state
     leaves its side and full cycles resume.  An absorbing state ends the
@@ -201,52 +206,47 @@ def simulate_run(
     while terminated_by is None and t < max_iters:
         k = int(min(rows, max_iters - t))
         if held is None:
-            uniforms = rng.random((k, n))
-            for used, u in enumerate(uniforms, 1):
+            x = rng.random((k, n))
+            drawn = k
+            for used, u in enumerate(x, 1):
                 m, s, inp = _cycle(m, u, rule, owner, indices, inv_deg, alpha, c)
-                if mbar_trace is not None:
-                    mbar_trace.append(float(m.mean()))
-                mx = float(m.max())
-                if mx < CONSENSUS_EPS:
-                    terminated_by = CONSENSUS_ZERO
-                    break
-                if mx > 1.0 - CONSENSUS_EPS and float(m.min()) > 1.0 - CONSENSUS_EPS:
-                    terminated_by = CONSENSUS_ONE
-                    break
                 if thr is not None and _settled(m, s, inp, thr):
                     held = alpha * inp
                     break
-            bits.advance((used - k) * n)
+            x = x[:used]
+            same = off = np.zeros(used, dtype=bool)
         else:
             # Each row is alpha * inp + (1 - alpha) * x, a full cycle's
-            # arithmetic; stop at the first row that reaches consensus,
-            # repeats the row before it or leaves a node's side.
+            # arithmetic; a row that repeats the one before it or leaves a
+            # node's side stops the block too.
             x = np.empty((k, n))
+            drawn = 0
             prev = m
             for row in x:
                 np.multiply(c, prev, out=row)
                 np.add(held, row, out=row)
                 prev = row
-            zero = x.max(axis=1) < CONSENSUS_EPS
-            one = x.min(axis=1) > 1.0 - CONSENSUS_EPS
             same = (x == np.vstack((m, x[:-1]))).all(axis=1)
-            stop = zero | one | same | ~_on_side(x, s, thr)
-            used = int(np.argmax(stop)) + 1 if stop.any() else len(x)
-            m = x[used - 1].copy()
+            off = ~_on_side(x, s, thr)
+        zero = x.max(axis=1) < CONSENSUS_EPS
+        one = x.min(axis=1) > 1.0 - CONSENSUS_EPS
+        stop = zero | one | same | off
+        used = int(np.argmax(stop)) + 1 if stop.any() else len(x)
+        m = x[used - 1].copy()
+        if mbar_trace is not None:
+            mbar_trace.extend(float(r.mean()) for r in x[:used])
+        if zero[used - 1]:
+            terminated_by = CONSENSUS_ZERO
+        elif one[used - 1]:
+            terminated_by = CONSENSUS_ONE
+        elif same[used - 1]:
             if mbar_trace is not None:
-                mbar_trace.extend(float(r.mean()) for r in x[:used])
-            if same[used - 1]:
-                if mbar_trace is not None:
-                    mbar_trace.extend([mbar_trace[-1]] * (max_iters - t - used))
-                used = int(max_iters - t)  # the absorbing state holds to the cap
-                terminated_by = MAX_ITERATIONS
-            elif zero[used - 1]:
-                terminated_by = CONSENSUS_ZERO
-            elif one[used - 1]:
-                terminated_by = CONSENSUS_ONE
-            elif stop[used - 1]:
-                held = None
-            bits.advance(used * n)
+                mbar_trace.extend([mbar_trace[-1]] * (max_iters - t - used))
+            used = int(max_iters - t)  # the absorbing state holds to the cap
+            terminated_by = MAX_ITERATIONS
+        elif off[used - 1]:
+            held = None
+        bits.advance((used - drawn) * n)
         t += used
 
     # Put back the uint32 growth may have buffered: advance clears it.

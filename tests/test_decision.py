@@ -341,6 +341,15 @@ class TestKernelReference:
                 assert clog_eval(0.0, DecisionParams(phi, -0.2)) == 0.0
                 assert clog_eval(1.0, DecisionParams(phi, -0.2)) == 1.0
 
+    def test_rule_leaves_callers_error_state(self):
+        # The kernel silences divides for its own call only: a caller that
+        # raises on divides keeps doing so after the rule returns.
+        m = np.array([0.0, 1.0])
+        with np.errstate(divide="raise"):
+            for phi in (46.0, 60.0, 89.9999):
+                assert np.array_equal(production_rule(phi, 0.1)(m), m)
+            assert np.geterr()["divide"] == "raise"
+
 
 class TestFixedPoints:
     def test_clog_interior_structure(self):

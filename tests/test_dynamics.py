@@ -319,6 +319,21 @@ def step_rule_starts(draw):
     return net, start, np.clip(thr - 0.5, -0.5, 0.5)
 
 
+@st.composite
+def interior_starts(draw):
+    """A PA graph, an angle (45 or interior), random start states and a
+    scalar or per-node bias."""
+    n = draw(st.integers(8, 64))
+    net = generate_pa_network(n, draw(st.integers(1, 3)),
+                              np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    phi = draw(st.one_of(st.just(45.0),
+                         st.floats(45.0, 90.0, exclude_min=True, exclude_max=True)))
+    bias = st.floats(-0.5, 0.5)
+    beta = draw(st.one_of(bias, st.lists(bias, min_size=n, max_size=n).map(np.array)))
+    start = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    return net, phi, start, beta
+
+
 def recorded_settled(monkeypatch):
     """Patch ``dynamics._settled`` to record its answers; returns the list."""
     checks = []
@@ -427,6 +442,33 @@ class TestBlockDraws:
                                   1000, start=start)
         assert (outcome.t_final, outcome.terminated_by) == (stop, CONSENSUS_ZERO)
         assert checks == [True]
+
+    @pytest.mark.parametrize("stop", STOPS_AROUND_BLOCK_ENDS)
+    def test_consensus_one_inside_and_at_block_ends(self, monkeypatch, stop):
+        # The mirror image of test_consensus_inside_and_at_block_ends: with
+        # beta = -0.5, a state x just below 1 emits 0 with probability about
+        # (1 - x)/20, so with these seeds every signal is 1 and each state's
+        # distance to 1 shrinks by 0.9 a cycle, first falling below the
+        # consensus bound at cycle ``stop``.
+        net = generate_pa_network(16, 2, np.random.default_rng(stop))
+        start = np.full(16, 1.0 - CONSENSUS_EPS / 0.9 ** (stop - 0.5))
+        monkeypatch.setattr(dynamics, "_initial_state", lambda n, innovator: start.copy())
+        monkeypatch.setattr(dynamics, "_MAX_DRAW", 8 * 16)
+        outcome = assert_same_run(net, 0, 60.0, -0.5, np.random.default_rng(stop),
+                                  1000, start=start)
+        assert (outcome.t_final, outcome.terminated_by) == (stop, CONSENSUS_ONE)
+
+    @given(case=interior_starts(), seed=st.integers(0, 2**32 - 1),
+           max_iters=st.integers(50, 2000), rows=st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_block_stop_matches_reference_loop(self, case, seed, max_iters, rows):
+        # About half of these runs reach consensus; one that stops inside a
+        # block has had the block's later rows computed and then discarded.
+        net, phi, start, beta = case
+        with mock.patch.object(dynamics, "_initial_state", lambda n, innovator: start.copy()), \
+                mock.patch.object(dynamics, "_MAX_DRAW", rows * net.n):
+            assert_same_run(net, 0, phi, beta, np.random.default_rng(seed), max_iters,
+                            start=start)
 
     @pytest.mark.parametrize("settle", STOPS_AROUND_BLOCK_ENDS)
     def test_step_rule_settles_inside_and_at_block_ends(self, monkeypatch, settle):
