@@ -9,7 +9,6 @@ Carlo sweep driver with reproducible, scheduling-independent seeding.
 """
 
 from .decision import (
-    DecisionParams,
     FixedPoint,
     FixedPointContinuum,
     IDENTITY_CONTINUUM,
@@ -45,7 +44,6 @@ from .scenarios import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DecisionParams",
     "FixedPoint",
     "FixedPointContinuum",
     "IDENTITY_CONTINUUM",

@@ -12,12 +12,7 @@ import sys
 import numpy as np
 
 from . import montecarlo
-from .decision import (
-    DecisionParams,
-    FixedPointContinuum,
-    find_fixed_points,
-    tabulate_curve,
-)
+from .decision import FixedPointContinuum, find_fixed_points, tabulate_curve
 from .dynamics import simulate_run
 from .io_config import (
     ConfigError,
@@ -210,16 +205,15 @@ def _scenario(args, phi_deg: float, degree: int) -> ScenarioConfig:
 
 
 def _cmd_fn(args) -> int:
-    params = DecisionParams(phi_deg=args.phi, beta=args.beta)
     if args.fixed_points:
-        result = find_fixed_points(args.family, params)
+        result = find_fixed_points(args.family, args.phi, args.beta)
         if isinstance(result, FixedPointContinuum):
             rows = [("", "continuum", result.derivative)]
         else:
             rows = [(fp.location, fp.stability, fp.derivative) for fp in result]
         write_csv(args.out, ("location", "stability", "derivative"), rows)
     else:
-        table = tabulate_curve(args.family, params, args.points)
+        table = tabulate_curve(args.family, args.phi, args.points, args.beta)
         write_csv(args.out, ("m", "f_m"), table.tolist())
     return 0
 

@@ -14,7 +14,11 @@ P(s = 1):
 Curves are parametrized by the slope angle ``phi_deg`` at the inflection
 point rather than by temperature tau.  The angle is bounded, degree sweeps
 are natural, and the boundary angles become exact code branches (identity,
-step) instead of overflow-prone limits of the exponential form.
+step) instead of overflow-prone limits of the exponential form.  45 degrees
+is probability matching and 90 an absolute threshold; the logistic family
+additionally admits angles below 45 (down to 0, the constant coin flip).
+The bias ``beta`` shifts the interior unstable fixed point to 0.5 + beta;
+negative values favor the innovative variant.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ __all__ = [
     "STABLE",
     "UNSTABLE",
     "MARGINAL",
-    "DecisionParams",
     "FixedPoint",
     "FixedPointContinuum",
     "IDENTITY_CONTINUUM",
@@ -56,22 +59,6 @@ SCAN_INTERVALS = 10_000
 BISECT_TOL = 1e-12
 SLOPE_TOL = 1e-6
 _DIFF_H = 1e-6
-
-
-@dataclass(frozen=True)
-class DecisionParams:
-    """Decision-rule parameters for one individual, checked where they are used.
-
-    phi_deg: categoriality, the slope angle in degrees at the curve's
-        inflection point.  45 is probability matching and 90 an absolute
-        threshold; the logistic family additionally admits angles below 45
-        (down to 0, the constant coin flip).
-    beta: bias.  Shifts the interior unstable fixed point to 0.5 + beta;
-        negative values favor the innovative variant.
-    """
-
-    phi_deg: float
-    beta: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -184,13 +171,13 @@ def _rule(family: str, phi_deg: float, beta):
     return lambda m: _sigmoid((m - 0.5 - beta) / h)
 
 
-def _eval(family: str, m, params: DecisionParams):
+def _eval(family: str, m, phi_deg: float, beta):
     arr = _as_prob(m)
-    out = _rule(family, params.phi_deg, params.beta)(arr.reshape(-1))
+    out = _rule(family, phi_deg, beta)(arr.reshape(-1))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def clog_eval(m, params: DecisionParams):
+def clog_eval(m, phi_deg: float, beta=0.0):
     """clog production probability for mental state ``m``.
 
     Interior angles evaluate m e^((m-beta)/tau) / (m e^((m-beta)/tau)
@@ -199,17 +186,17 @@ def clog_eval(m, params: DecisionParams):
     1 are resolved to one ulp (2**-53), not to two.  ``m`` may be a scalar
     or an array; the result matches.
     """
-    return _eval("clog", m, params)
+    return _eval("clog", m, phi_deg, beta)
 
 
-def logistic_eval(m, params: DecisionParams):
+def logistic_eval(m, phi_deg: float, beta=0.0):
     """Two-choice softmax probability for mental state ``m``.
 
     Equivalent to 1 / (1 + e^((1 - 2m + 2 beta)/tau)); phi = 0 is the
     constant 0.5 and phi = 90 the step at 0.5 + beta with value 0.5 at the
     threshold.
     """
-    return _eval("logistic", m, params)
+    return _eval("logistic", m, phi_deg, beta)
 
 
 def production_rule(phi_deg: float, beta):
@@ -261,7 +248,7 @@ def _classify(derivative: float) -> str:
     return MARGINAL
 
 
-def find_fixed_points(family: str, params: DecisionParams):
+def find_fixed_points(family: str, phi_deg: float, beta=0.0):
     """All solutions of f(m) = m on [0, 1], with stability.
 
     Roots are located by a sign-change scan of f(m) - m on a uniform grid
@@ -273,8 +260,8 @@ def find_fixed_points(family: str, params: DecisionParams):
     For the clog at phi = 45 every point is fixed; the distinguished
     :data:`IDENTITY_CONTINUUM` is returned instead of a list.
     """
-    rule = _rule(family, params.phi_deg, params.beta)
-    if family == "clog" and params.phi_deg == 45.0:
+    rule = _rule(family, phi_deg, beta)
+    if family == "clog" and phi_deg == 45.0:
         return IDENTITY_CONTINUUM
     grid = np.arange(SCAN_INTERVALS + 1) / SCAN_INTERVALS
     g = rule(grid) - grid
@@ -302,12 +289,12 @@ def find_fixed_points(family: str, params: DecisionParams):
     return out
 
 
-def tabulate_curve(family: str, params: DecisionParams, n_points: int) -> np.ndarray:
+def tabulate_curve(family: str, phi_deg: float, n_points: int, beta=0.0) -> np.ndarray:
     """(m, f(m)) table on a uniform inclusive grid over [0, 1].
 
     Returns an array of shape (n_points, 2), ready for CSV export.
     """
-    rule = _rule(family, params.phi_deg, params.beta)
+    rule = _rule(family, phi_deg, beta)
     _require_integers(2, points=n_points)
     grid = np.arange(n_points) / (n_points - 1)
     return np.column_stack([grid, rule(grid)])

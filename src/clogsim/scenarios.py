@@ -71,7 +71,7 @@ class ScenarioConfig:
 def sample_neutral_biases(n: int, rng: np.random.Generator) -> np.ndarray:
     """n/2 magnitudes from U[0, 0.5], returned as +/- pairs (sum is 0)."""
     if n % 2:
-        raise ValueError(f"bias count must be even, got {n!r}")
+        raise ValueError(f"n must be even (biases are drawn as +/- pairs), got {n!r}")
     mag = rng.uniform(0.0, 0.5, n // 2)
     return np.concatenate([mag, -mag])
 

@@ -19,7 +19,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from clogsim.decision import DecisionParams, clog_eval, find_fixed_points, phi_to_tau
+from clogsim.decision import clog_eval, find_fixed_points, phi_to_tau
 from clogsim.montecarlo import (
     SweepSpec,
     conditional_degree_distribution,
@@ -69,18 +69,17 @@ def test_criterion_1_clog_analytic_suite():
         phi = float(phi)
         tau = phi_to_tau(phi, "clog")
         for beta in betas:
-            params = DecisionParams(phi, beta)
-            vals = clog_eval(grid, params)
+            vals = clog_eval(grid, phi, beta)
 
             # endpoints pinned exactly
             assert vals[0] == 0.0 and vals[-1] == 1.0
 
             # interior fixed point at 0.5 + beta
             x = 0.5 + beta
-            assert abs(clog_eval(x, params) - x) < 1e-12
+            assert abs(clog_eval(x, phi, beta) - x) < 1e-12
 
             # symmetry: clog_{tau,beta}(m) + clog_{tau,-beta}(1-m) = 1
-            mirror = clog_eval(1.0 - grid, DecisionParams(phi, -beta))
+            mirror = clog_eval(1.0 - grid, phi, -beta)
             assert np.max(np.abs(vals + mirror - 1.0)) < 1e-12
 
             # increasing; the map is strictly increasing in exact arithmetic
@@ -98,7 +97,7 @@ def test_criterion_1_clog_analytic_suite():
 
             # slope at the interior fixed point: 1 + 2 (1/4 - beta^2)/tau,
             # which is tan(phi) in the unbiased case that defines the angle
-            slope = (clog_eval(x + h, params) - clog_eval(x - h, params)) / (2 * h)
+            slope = (clog_eval(x + h, phi, beta) - clog_eval(x - h, phi, beta)) / (2 * h)
             expected = 1.0 + 2.0 * (0.25 - beta * beta) / tau
             assert abs(slope - expected) <= 1e-6 * expected
             if beta == 0.0:
@@ -141,20 +140,20 @@ def _oracle_logistic_roots(phi_deg):
 def test_criterion_2_logistic_fixed_point_structure():
     start = time.perf_counter()
 
-    fps = find_fixed_points("logistic", DecisionParams(60.0))
+    fps = find_fixed_points("logistic", 60.0)
     oracle = _oracle_logistic_roots(60.0)
     assert len(fps) == 3 and len(oracle) == 3
     for fp, root in zip(fps, oracle):
         assert abs(fp.location - root) < 1e-6
     assert [fp.stability for fp in fps] == ["stable", "unstable", "stable"]
 
-    fps40 = find_fixed_points("logistic", DecisionParams(40.0))
+    fps40 = find_fixed_points("logistic", 40.0)
     assert len(fps40) == 1
     assert fps40[0].location == pytest.approx(0.5, abs=1e-9)
     assert fps40[0].stability == "stable"
 
     for beta in (0.2, -0.2):
-        fpsb = find_fixed_points("logistic", DecisionParams(60.0, beta))
+        fpsb = find_fixed_points("logistic", 60.0, beta)
         assert len(fpsb) == 1
         assert fpsb[0].stability == "stable"
 

@@ -6,7 +6,7 @@ import pytest
 import clogsim
 
 PUBLIC = {
-    "DecisionParams", "FixedPoint", "FixedPointContinuum", "IDENTITY_CONTINUUM",
+    "FixedPoint", "FixedPointContinuum", "IDENTITY_CONTINUUM",
     "clog_eval", "logistic_eval", "phi_to_tau", "find_fixed_points", "tabulate_curve",
     "Network", "from_edges", "generate_pa_network", "bfs_distances",
     "find_node_with_degree",

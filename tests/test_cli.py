@@ -1,5 +1,9 @@
 import csv
+import hashlib
 import io
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -7,11 +11,21 @@ from clogsim import cli
 from clogsim.cli import main
 from clogsim.dynamics import simulate_run
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_commands():
+    """The argv of every ``clogsim ...`` line in the README's code blocks,
+    with backslash continuations joined and the program name dropped."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("clogsim ")]
 
 
 def read_csv(path):
@@ -91,6 +105,26 @@ class TestFn:
     def test_error_names_the_flag(self, capsys, tmp_path, argv, key):
         argv = ("fn", *argv, "--out", str(tmp_path / "curve.csv"))
         assert_value_error(capsys, tmp_path, argv, key)
+
+    def test_readme_examples(self, capsys):
+        # The README's fn examples print these exact bytes; its other
+        # command lines parse, unexecuted.
+        commands = readme_commands()
+        pinned = {
+            "fn --family clog --phi 60 --beta 0.2 --points 101":
+                "54f8d785bef62bdbb8e316ba26c382a0df348a89b02cb1b48cff683f9abf302b",
+            "fn --family logistic --phi 60 --fixed-points":
+                "754fe299a2bc5250d9d11f7e6be050032e1072154d9e021a548c31854818b1d6",
+        }
+        assert sorted(" ".join(a) for a in commands if a[0] == "fn") == sorted(pinned)
+        for argv in commands:
+            if argv[0] == "fn":
+                code, out, _ = run_cli(capsys, *argv)
+                assert code == 0
+                assert hashlib.sha256(out.encode()).hexdigest() == pinned[" ".join(argv)]
+            else:
+                assert cli.build_parser().parse_args(argv).command == argv[0]
+        assert {a[0] for a in commands} == {"fn", "net", "run", "sweep"}
 
 
 class TestNet:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from clogsim.decision import (
     IDENTITY_CONTINUUM,
-    DecisionParams,
     FixedPointContinuum,
     clog_eval,
     find_fixed_points,
@@ -103,68 +102,63 @@ class TestPhiToTau:
 
 class TestClogEval:
     def test_frozen_interior_value(self):
-        assert clog_eval(0.25, DecisionParams(60.0)) == pytest.approx(CLOG_60_AT_025, rel=1e-13)
+        assert clog_eval(0.25, 60.0) == pytest.approx(CLOG_60_AT_025, rel=1e-13)
 
     def test_endpoints_exact(self):
         for phi in (46.0, 60.0, 75.0, 89.0, 90.0):
             for beta in (-0.4, 0.0, 0.4):
-                p = DecisionParams(phi, beta)
-                assert clog_eval(0.0, p) == 0.0
-                assert clog_eval(1.0, p) == 1.0
+                assert clog_eval(0.0, phi, beta) == 0.0
+                assert clog_eval(1.0, phi, beta) == 1.0
 
     def test_interior_fixed_point(self):
         for phi in (50.0, 60.0, 85.0):
             for beta in (-0.3, 0.0, 0.25):
                 m = 0.5 + beta
-                assert abs(clog_eval(m, DecisionParams(phi, beta)) - m) < 1e-12
+                assert abs(clog_eval(m, phi, beta) - m) < 1e-12
 
     def test_identity_at_45(self):
         grid = np.linspace(0.0, 1.0, 257)
-        out = clog_eval(grid, DecisionParams(45.0, 0.3))
+        out = clog_eval(grid, 45.0, 0.3)
         assert np.array_equal(out, grid)
 
     def test_identity_returns_a_copy(self):
         grid = np.linspace(0.0, 1.0, 5)
-        out = clog_eval(grid, DecisionParams(45.0, 0.0))
+        out = clog_eval(grid, 45.0, 0.0)
         assert not np.shares_memory(out, grid)
 
     def test_step_at_90(self):
-        p = DecisionParams(90.0, 0.0)
-        assert clog_eval(0.49, p) == 0.0
-        assert clog_eval(0.5, p) == 0.5
-        assert clog_eval(0.51, p) == 1.0
-        pb = DecisionParams(90.0, 0.2)
-        assert clog_eval(0.69, pb) == 0.0
-        assert clog_eval(0.7, pb) == pytest.approx(0.7, abs=1e-15)
-        assert clog_eval(0.71, pb) == 1.0
+        assert clog_eval(0.49, 90.0, 0.0) == 0.0
+        assert clog_eval(0.5, 90.0, 0.0) == 0.5
+        assert clog_eval(0.51, 90.0, 0.0) == 1.0
+        assert clog_eval(0.69, 90.0, 0.2) == 0.0
+        assert clog_eval(0.7, 90.0, 0.2) == pytest.approx(0.7, abs=1e-15)
+        assert clog_eval(0.71, 90.0, 0.2) == 1.0
 
     def test_matches_oracle_on_grid(self):
         for phi in (46.0, 55.0, 70.0, 89.0):
             for beta in (-0.4, -0.1, 0.0, 0.3):
-                p = DecisionParams(phi, beta)
                 for m in (0.001, 0.2, 0.5, 0.77, 0.999):
                     expected = float(mp_clog(m, phi, beta))
-                    assert clog_eval(m, p) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+                    assert clog_eval(m, phi, beta) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
     def test_domain_errors(self):
-        p = DecisionParams(60.0)
         for bad in (-0.1, 1.1, math.nan, math.inf):
             with pytest.raises(ValueError):
-                clog_eval(bad, p)
+                clog_eval(bad, 60.0)
         with pytest.raises(ValueError):
-            clog_eval(0.5, DecisionParams(30.0))  # below the clog family range
+            clog_eval(0.5, 30.0)  # below the clog family range
 
     @given(phi=angles_clog, beta=biases, m=probs)
     @settings(max_examples=200)
     def test_output_is_probability(self, phi, beta, m):
-        out = clog_eval(m, DecisionParams(phi, beta))
+        out = clog_eval(m, phi, beta)
         assert 0.0 <= out <= 1.0
 
     @given(phi=angles_clog, beta=biases, m=probs)
     @settings(max_examples=200)
     def test_symmetry_identity(self, phi, beta, m):
-        a = clog_eval(m, DecisionParams(phi, beta))
-        b = clog_eval(1.0 - m, DecisionParams(phi, -beta))
+        a = clog_eval(m, phi, beta)
+        b = clog_eval(1.0 - m, phi, -beta)
         assert abs(a + b - 1.0) < 1e-12
 
     @given(phi=st.floats(min_value=46.0, max_value=80.0), beta=biases)
@@ -176,21 +170,19 @@ class TestClogEval:
         # the full sweep and admits a tie there only where the oracle's exact
         # increment is below one ulp.
         grid = np.linspace(0.0, 1.0, 101)
-        out = clog_eval(grid, DecisionParams(phi, beta))
+        out = clog_eval(grid, phi, beta)
         assert np.all(np.diff(out) > 0.0)
 
     def test_resolves_one_ulp_below_one(self):
         # The exact values differ by 1.64 ulp here; a kernel that rounds
         # 1 + e^-L before dividing returns the same multiple of 2**-52 for
         # both.
-        p = DecisionParams(84.0, -0.4)
-        assert clog_eval(0.978, p) < clog_eval(0.979, p)
+        assert clog_eval(0.978, 84.0, -0.4) < clog_eval(0.979, 84.0, -0.4)
 
     def test_inflection_slope_is_tan_phi_unbiased(self):
         h = 1e-6
         for phi in (46.0, 60.0, 75.0, 89.0):
-            p = DecisionParams(phi, 0.0)
-            slope = (clog_eval(0.5 + h, p) - clog_eval(0.5 - h, p)) / (2 * h)
+            slope = (clog_eval(0.5 + h, phi, 0.0) - clog_eval(0.5 - h, phi, 0.0)) / (2 * h)
             assert slope == pytest.approx(math.tan(math.radians(phi)), rel=1e-6)
 
     def test_fixed_point_slope_with_bias(self):
@@ -201,56 +193,48 @@ class TestClogEval:
         for phi in (50.0, 60.0, 80.0):
             tau = phi_to_tau(phi, "clog")
             for beta in (-0.4, -0.2, 0.2, 0.4):
-                p = DecisionParams(phi, beta)
                 x = 0.5 + beta
-                slope = (clog_eval(x + h, p) - clog_eval(x - h, p)) / (2 * h)
+                slope = (clog_eval(x + h, phi, beta) - clog_eval(x - h, phi, beta)) / (2 * h)
                 assert slope == pytest.approx(1 + 2 * (0.25 - beta**2) / tau, rel=1e-6)
 
 
 class TestLogisticEval:
     def test_frozen_value(self):
-        assert logistic_eval(1.0, DecisionParams(60.0)) == pytest.approx(
-            LOGISTIC_60_AT_1, rel=1e-13
-        )
+        assert logistic_eval(1.0, 60.0) == pytest.approx(LOGISTIC_60_AT_1, rel=1e-13)
 
     def test_symmetry_point(self):
         for phi in (10.0, 45.0, 60.0, 89.0):
-            assert logistic_eval(0.5, DecisionParams(phi)) == pytest.approx(0.5, abs=1e-15)
+            assert logistic_eval(0.5, phi) == pytest.approx(0.5, abs=1e-15)
 
     def test_step_at_90(self):
-        p = DecisionParams(90.0, 0.0)
-        assert logistic_eval(0.7, p) == 1.0
-        assert logistic_eval(0.3, p) == 0.0
-        assert logistic_eval(0.5, p) == 0.5
-        pb = DecisionParams(90.0, 0.2)
-        assert logistic_eval(0.7, pb) == 0.5  # threshold value stays 0.5
+        assert logistic_eval(0.7, 90.0, 0.0) == 1.0
+        assert logistic_eval(0.3, 90.0, 0.0) == 0.0
+        assert logistic_eval(0.5, 90.0, 0.0) == 0.5
+        assert logistic_eval(0.7, 90.0, 0.2) == 0.5  # threshold value stays 0.5
 
     def test_constant_at_0(self):
         grid = np.linspace(0, 1, 11)
-        assert np.all(logistic_eval(grid, DecisionParams(0.0)) == 0.5)
+        assert np.all(logistic_eval(grid, 0.0) == 0.5)
 
     def test_boundary_repulsion(self):
         # No fixed point in the corners for interior angles.  Beyond about
         # 85 deg the true gap 1 - sigma(1/tau) drops below float64
         # resolution, so the check stays where it is representable.
         for phi in (50.0, 60.0, 75.0, 85.0):
-            p = DecisionParams(phi)
-            assert logistic_eval(1.0, p) < 1.0
-            assert logistic_eval(0.0, p) > 0.0
+            assert logistic_eval(1.0, phi) < 1.0
+            assert logistic_eval(0.0, phi) > 0.0
 
     def test_matches_oracle_on_grid(self):
         for phi in (20.0, 45.0, 60.0, 89.0):
             for beta in (-0.3, 0.0, 0.2):
-                p = DecisionParams(phi, beta)
                 for m in (0.0, 0.25, 0.5, 0.9, 1.0):
                     expected = float(mp_logistic(m, phi, beta))
-                    assert logistic_eval(m, p) == pytest.approx(expected, rel=1e-12)
+                    assert logistic_eval(m, phi, beta) == pytest.approx(expected, rel=1e-12)
 
     def test_slope_at_center_is_tan_phi(self):
         h = 1e-6
         for phi in (30.0, 45.0, 60.0, 85.0):
-            p = DecisionParams(phi)
-            slope = (logistic_eval(0.5 + h, p) - logistic_eval(0.5 - h, p)) / (2 * h)
+            slope = (logistic_eval(0.5 + h, phi) - logistic_eval(0.5 - h, phi)) / (2 * h)
             assert slope == pytest.approx(math.tan(math.radians(phi)), rel=1e-6)
 
 
@@ -261,9 +245,7 @@ class TestProductionRule:
         beta = rng.uniform(-0.5, 0.5, 64)
         for phi in (45.0, 60.0, 89.9, 90.0):
             rule = production_rule(phi, beta)
-            expected = np.array(
-                [clog_eval(mi, DecisionParams(phi, bi)) for mi, bi in zip(m, beta)]
-            )
+            expected = np.array([clog_eval(mi, phi, bi) for mi, bi in zip(m, beta)])
             # One rule factory behind both: they agree bit for bit.
             assert np.array_equal(rule(m), expected)
 
@@ -322,11 +304,11 @@ class TestKernelReference:
         expected = reference_clog_kernel(m, tau, beta)
         assert same_bits(production_rule(phi, beta)(m), expected)
         assert same_bits(production_rule(phi, betas)(m), reference_clog_kernel(m, tau, betas))
-        assert same_bits(clog_eval(m, DecisionParams(phi, beta)), expected)
-        assert same_bits(clog_eval(float(m[0]), DecisionParams(phi, beta)), expected[0])
+        assert same_bits(clog_eval(m, phi, beta), expected)
+        assert same_bits(clog_eval(float(m[0]), phi, beta), expected[0])
         tau_l = phi_to_tau(phi, "logistic")
         assert same_bits(
-            logistic_eval(m, DecisionParams(phi, beta)),
+            logistic_eval(m, phi, beta),
             reference_sigmoid((2.0 * m - 1.0 - 2.0 * beta) / tau_l),
         )
 
@@ -337,9 +319,9 @@ class TestKernelReference:
             warnings.simplefilter("error")
             for phi in (46.0, 60.0, 89.9999):
                 assert np.array_equal(production_rule(phi, betas)(m), m)
-                assert np.array_equal(clog_eval(m, DecisionParams(phi, 0.2)), m)
-                assert clog_eval(0.0, DecisionParams(phi, -0.2)) == 0.0
-                assert clog_eval(1.0, DecisionParams(phi, -0.2)) == 1.0
+                assert np.array_equal(clog_eval(m, phi, 0.2), m)
+                assert clog_eval(0.0, phi, -0.2) == 0.0
+                assert clog_eval(1.0, phi, -0.2) == 1.0
 
     def test_rule_leaves_callers_error_state(self):
         # The kernel silences divides for its own call only: a caller that
@@ -353,24 +335,24 @@ class TestKernelReference:
 
 class TestFixedPoints:
     def test_clog_interior_structure(self):
-        fps = find_fixed_points("clog", DecisionParams(60.0, 0.2))
+        fps = find_fixed_points("clog", 60.0, 0.2)
         assert [fp.stability for fp in fps] == ["stable", "unstable", "stable"]
         assert fps[0].location == 0.0
         assert fps[2].location == 1.0
         assert fps[1].location == pytest.approx(0.7, abs=1e-9)
 
     def test_clog_step_structure(self):
-        fps = find_fixed_points("clog", DecisionParams(90.0, 0.1))
+        fps = find_fixed_points("clog", 90.0, 0.1)
         assert [fp.stability for fp in fps] == ["stable", "unstable", "stable"]
         assert fps[1].location == pytest.approx(0.6, abs=1e-9)
 
     def test_clog_identity_continuum(self):
-        result = find_fixed_points("clog", DecisionParams(45.0, 0.3))
+        result = find_fixed_points("clog", 45.0, 0.3)
         assert result is IDENTITY_CONTINUUM
         assert isinstance(result, FixedPointContinuum)
 
     def test_logistic_three_points(self):
-        fps = find_fixed_points("logistic", DecisionParams(60.0))
+        fps = find_fixed_points("logistic", 60.0)
         assert len(fps) == 3
         assert fps[0].location == pytest.approx(LOGISTIC_60_FP_LOW, abs=1e-6)
         assert fps[1].location == pytest.approx(0.5, abs=1e-9)
@@ -380,14 +362,14 @@ class TestFixedPoints:
         assert fps[0].location + fps[2].location == pytest.approx(1.0, abs=1e-9)
 
     def test_logistic_low_angle_single_stable(self):
-        fps = find_fixed_points("logistic", DecisionParams(40.0))
+        fps = find_fixed_points("logistic", 40.0)
         assert len(fps) == 1
         assert fps[0].location == pytest.approx(0.5, abs=1e-12)
         assert fps[0].stability == "stable"
 
     def test_logistic_45_is_marginal(self):
         # The logistic's slope at its one fixed point is tan 45 = 1.
-        fps = find_fixed_points("logistic", DecisionParams(45.0))
+        fps = find_fixed_points("logistic", 45.0)
         assert len(fps) == 1
         assert fps[0].location == pytest.approx(0.5, abs=1e-12)
         assert fps[0].derivative == pytest.approx(1.0, abs=1e-9)
@@ -395,85 +377,75 @@ class TestFixedPoints:
 
     def test_logistic_biased_single_stable(self):
         for beta in (0.2, -0.2):
-            fps = find_fixed_points("logistic", DecisionParams(60.0, beta))
+            fps = find_fixed_points("logistic", 60.0, beta)
             assert len(fps) == 1
             assert fps[0].stability == "stable"
 
     def test_logistic_constant_rule(self):
-        fps = find_fixed_points("logistic", DecisionParams(0.0))
+        fps = find_fixed_points("logistic", 0.0)
         assert len(fps) == 1
         assert fps[0].location == pytest.approx(0.5, abs=1e-12)
         assert fps[0].stability == "stable"
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            find_fixed_points("probit", DecisionParams(60.0))
+            find_fixed_points("probit", 60.0)
 
 
 class TestTabulateCurve:
     def test_identity_table(self):
-        table = tabulate_curve("clog", DecisionParams(45.0, 0.3), 3)
+        table = tabulate_curve("clog", 45.0, 3, beta=0.3)
         assert np.array_equal(table, [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
 
     def test_step_table(self):
-        table = tabulate_curve("clog", DecisionParams(90.0, 0.0), 5)
+        table = tabulate_curve("clog", 90.0, 5)
         assert np.array_equal(
             table,
             [[0.0, 0.0], [0.25, 0.0], [0.5, 0.5], [0.75, 1.0], [1.0, 1.0]],
         )
 
     def test_logistic_midpoint_row(self):
-        table = tabulate_curve("logistic", DecisionParams(60.0), 101)
+        table = tabulate_curve("logistic", 60.0, 101)
         assert table[50, 0] == 0.5
         assert table[50, 1] == pytest.approx(0.5, abs=1e-15)
 
     def test_grid_is_inclusive_uniform(self):
-        table = tabulate_curve("clog", DecisionParams(60.0), 11)
+        table = tabulate_curve("clog", 60.0, 11)
         assert table.shape == (11, 2)
         assert table[0, 0] == 0.0 and table[-1, 0] == 1.0
         assert np.allclose(np.diff(table[:, 0]), 0.1)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            tabulate_curve("clog", DecisionParams(60.0), 1)
-
-
-class TestDecisionParams:
-    def test_validation(self):
-        # A plain record: each bad value is built without complaint and
-        # refused, naming its key, wherever a rule is made from it.
-        for params, key in ((DecisionParams(95.0), "phi"), (DecisionParams(-1.0), "phi"),
-                            (DecisionParams(60.0, 0.6), "beta"),
-                            (DecisionParams(math.nan), "phi")):
-            for evaluate in (clog_eval, logistic_eval):
-                with pytest.raises(ValueError, match=rf"^{key} must lie in "):
-                    evaluate(0.5, params)
+            tabulate_curve("clog", 60.0, 1)
 
 
 _STAR = from_edges(5, [(0, k) for k in range(1, 5)])
 
-# Every caller of the rule factory, as (family, call(params)).
+# Every caller of the rule factory, as (family, call(phi, beta)).
 _CONSUMERS = {
-    "clog_eval": ("clog", lambda p: clog_eval(0.5, p)),
-    "logistic_eval": ("logistic", lambda p: logistic_eval(0.5, p)),
-    "find_fixed_points-clog": ("clog", lambda p: find_fixed_points("clog", p)),
-    "find_fixed_points-logistic": ("logistic", lambda p: find_fixed_points("logistic", p)),
-    "tabulate_curve-clog": ("clog", lambda p: tabulate_curve("clog", p, 5)),
-    "tabulate_curve-logistic": ("logistic", lambda p: tabulate_curve("logistic", p, 5)),
-    "production_rule": ("clog", lambda p: production_rule(p.phi_deg, p.beta)),
-    "simulate_run": ("clog", lambda p: simulate_run(_STAR, 0, p.phi_deg, p.beta,
-                                                    np.random.default_rng(0), max_iters=3)),
-    "ScenarioConfig": ("clog", lambda p: ScenarioConfig("random", p.phi_deg)),
+    "clog_eval": ("clog", lambda phi, beta: clog_eval(0.5, phi, beta)),
+    "logistic_eval": ("logistic", lambda phi, beta: logistic_eval(0.5, phi, beta)),
+    "find_fixed_points-clog": ("clog", lambda phi, beta: find_fixed_points("clog", phi, beta)),
+    "find_fixed_points-logistic": ("logistic",
+                                   lambda phi, beta: find_fixed_points("logistic", phi, beta)),
+    "tabulate_curve-clog": ("clog", lambda phi, beta: tabulate_curve("clog", phi, 5, beta)),
+    "tabulate_curve-logistic": ("logistic",
+                                lambda phi, beta: tabulate_curve("logistic", phi, 5, beta)),
+    "production_rule": ("clog", production_rule),
+    "simulate_run": ("clog", lambda phi, beta: simulate_run(
+        _STAR, 0, phi, beta, np.random.default_rng(0), max_iters=3)),
+    "ScenarioConfig": ("clog", lambda phi, beta: ScenarioConfig("random", phi)),
 }
 
 
 def _bad_rule_inputs():
-    """An angle just outside each end of the consumer's family range, then a
-    bias of 0.6 or NaN at each branch of the rule (the clog at 45 included);
-    a scenario takes no bias."""
+    """An angle just outside each end of the consumer's family range, NaN,
+    and -1 (the logistic's lower one, far below the clog's), then a bias of 0.6 or NaN at each
+    branch of the rule (the clog at 45 included); a scenario takes no bias."""
     for name, (family, _) in _CONSUMERS.items():
         lo = 45.0 if family == "clog" else 0.0
-        for phi in (lo - 1.0, 90.5):
+        for phi in dict.fromkeys((lo - 1.0, -1.0, 90.5, math.nan)):
             yield pytest.param(name, phi, 0.0, rf"phi must lie in \[{lo:g}, 90\] for the "
                                rf"{family} family, got {phi!r}", id=f"{name}-phi{phi:g}")
         for phi in (lo, 60.0, 90.0) if name != "ScenarioConfig" else ():
@@ -485,4 +457,4 @@ def _bad_rule_inputs():
 @pytest.mark.parametrize("consumer, phi, beta, message", _bad_rule_inputs())
 def test_rule_consumer_names_bad_angle_or_bias(consumer, phi, beta, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        _CONSUMERS[consumer][1](DecisionParams(phi, beta))
+        _CONSUMERS[consumer][1](phi, beta)

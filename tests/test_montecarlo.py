@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clogsim.decision import DecisionParams, tabulate_curve
+from clogsim.decision import tabulate_curve
 from clogsim.dynamics import COMPLETION_MIN, DOMINANCE_MIN, SURVIVAL_MIN, RunOutcome, simulate_run
 from clogsim.io_config import format_field
 from clogsim.montecarlo import (
@@ -196,7 +196,7 @@ _NET = generate_pa_network(16, 2, np.random.default_rng(0))
     pytest.param(lambda v: simulate_run(_NET, v, 60.0, 0.0, np.random.default_rng(0),
                                         max_iters=3),
                  "innovator", 0, 1, id="simulate_run-innovator"),
-    pytest.param(lambda v: tabulate_curve("clog", DecisionParams(60.0), v), "points", 2, 5,
+    pytest.param(lambda v: tabulate_curve("clog", 60.0, v), "points", 2, 5,
                  id="tabulate_curve-n_points"),
 ])
 def test_count_argument_checked(call, key, low, ok):

@@ -80,7 +80,8 @@ class TestSampleNeutralBiases:
         assert np.mean(np.abs(values)) == pytest.approx(0.25, abs=0.01)
 
     def test_odd_n_rejected(self):
-        with pytest.raises(ValueError):
+        message = r"^n must be even \(biases are drawn as \+/- pairs\), got 3$"
+        with pytest.raises(ValueError, match=message):
             sample_neutral_biases(3, np.random.default_rng(0))
 
 
