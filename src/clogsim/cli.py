@@ -14,13 +14,7 @@ import numpy as np
 from . import montecarlo
 from .decision import FixedPointContinuum, find_fixed_points, tabulate_curve
 from .dynamics import simulate_run
-from .io_config import (
-    ConfigError,
-    format_field,
-    read_config_file,
-    write_csv,
-    write_sweep_outputs,
-)
+from .io_config import format_field, write_csv, write_sweep_outputs
 from .montecarlo import (
     DEFAULT_REGEN_LIMIT,
     DESK_DEGREE_LIST,
@@ -41,7 +35,7 @@ SWEEP_KEYS = ("scenario", "phi", "seed", "n", "attach", "alpha", "max_iters", "r
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _seed(text: str) -> int:
@@ -51,7 +45,7 @@ def _seed(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if not 0 <= seed < 2**64:
-        # mix_seed keeps only the low 64 bits, so a larger seed would alias one below.
+        # mix_seed refuses such a seed too, but without naming the flag.
         raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {seed}")
     return seed
 
@@ -173,10 +167,14 @@ def _add_sweep_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
 
 def _with_config_flags(argv: list) -> list:
     """``argv`` with a sweep's --config file lines inserted as flags right
-    after ``sweep``, so that the command line's own flags win.
+    after ``sweep``, so that a later line or a command-line flag wins.
 
-    Each line's value is checked by its flag's own type and choices first,
-    so that an error names the file and line it came from.
+    A config file holds ``key=value`` lines (``#`` comments) that stand for
+    ``--key=value`` flags; only ``SWEEP_KEYS`` are accepted, by exact name,
+    and an underscore in a key is a hyphen in its flag.  Each line's flag is
+    checked by its own type and choices as it is read, so that an error
+    names the file and line it came from; ``ScenarioConfig`` and
+    ``SweepSpec`` then validate the values they are built from.
     """
     if argv[:1] != ["sweep"]:
         return argv
@@ -185,14 +183,30 @@ def _with_config_flags(argv: list) -> list:
     path = prescan.parse_known_args(argv[1:])[0].config
     if path is None:
         return argv
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValueError(f"cannot read config file {path}: {e}") from e
     check = _Parser(add_help=False)
     _add_sweep_flags(check, required=False)
     flags = []
-    for lineno, flag in read_config_file(path, SWEEP_KEYS):
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key not in SWEEP_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
+                             f"expected one of {sorted(SWEEP_KEYS)}")
+        flag = f"--{key.replace('_', '-')}={value.strip()}"
         try:
             check.parse_args([flag])
-        except ConfigError as e:
-            raise ConfigError(f"{path}:{lineno}: {e}") from None
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
         flags.append(flag)
     return ["sweep", *flags, *argv[1:]]
 
@@ -307,7 +321,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_with_config_flags(argv))
         if args.command is None:
-            raise ConfigError("a subcommand is required (fn, net, run, or sweep)")
+            raise ValueError("a subcommand is required (fn, net, run, or sweep)")
         return _COMMANDS[args.command](args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

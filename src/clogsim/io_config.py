@@ -1,10 +1,4 @@
-"""Config files and CSV serialization shared by the subcommands.
-
-A config file holds ``key=value`` lines (``#`` comments) that stand for
-``--key=value`` flags: the CLI reads them as flags placed before its own,
-so argparse parses and checks them, and a later line or a command-line
-flag wins.  ``ScenarioConfig`` and ``SweepSpec`` validate the values
-they are built from.
+"""CSV serialization shared by the subcommands.
 
 CSV files carry a header row, serialize floats with 9 significant digits,
 and are written atomically (temp file + rename): re-running an identical
@@ -18,51 +12,12 @@ import math
 import os
 import sys
 import tempfile
-from itertools import repeat
 
 import numpy as np
 
 from .dynamics import OUTCOMES, outcome_level
 
-__all__ = [
-    "ConfigError",
-    "read_config_file",
-    "format_field",
-    "write_csv",
-    "write_sweep_outputs",
-]
-
-
-class ConfigError(ValueError):
-    """Bad input; the message names the flag, key or file line at fault."""
-
-
-def read_config_file(path: str, keys) -> list[tuple[int, str]]:
-    """(line number, ``--key=value`` flag) of each key=value line of a
-    file, in file order.
-
-    ``#`` starts a comment.  Only the given keys are accepted, by exact
-    name; an underscore in a key is a hyphen in its flag.
-    """
-    flags = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, sep, value = line.partition("=")
-                key = key.strip()
-                if not sep:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                if key not in keys:
-                    raise ConfigError(
-                        f"{path}:{lineno}: unknown key {key!r}; expected one of {sorted(keys)}"
-                    )
-                flags.append((lineno, f"--{key.replace('_', '-')}={value.strip()}"))
-    except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from e
-    return flags
+__all__ = ["format_field", "write_csv", "write_sweep_outputs"]
 
 
 def format_field(value) -> str:

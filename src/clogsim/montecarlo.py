@@ -123,15 +123,19 @@ def mix_seed(master_seed: int, kind: str, phi_deg: float, degree: int, run_index
 
     Chains splitmix64 over the tuple fields (scenario index, the angle's
     float64 bit pattern, degree, run index), so any scheduling of runs
-    reproduces identical streams.
+    reproduces identical streams.  The master seed must lie in [0, 2**64):
+    a wider one would alias one inside.
     """
+    _require_integers(master_seed=master_seed)
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed!r}")
     fields = (
         KINDS.index(kind),
         int(np.float64(phi_deg).view(np.uint64)),
         int(degree),
         int(run_index),
     )
-    h = int(master_seed) & _MASK64
+    h = int(master_seed)
     for v in fields:
         h = _splitmix64(h ^ (v & _MASK64))
     return h
@@ -153,9 +157,6 @@ def prepare_run(
     on ``rng``.  net, innovator and beta are None when the regeneration
     limit is exhausted.
     """
-    _require_integers(master_seed=master_seed)
-    if not 0 <= master_seed < 2**64:
-        raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed!r}")
     _require_integers(0, run_index=run_index)
     _require_integers(1, regen_limit=regen_limit)
     degree = config.innovator_degree

@@ -151,6 +151,17 @@ def _require_integers(low=None, /, **values) -> None:
             raise ValueError(f"{key} must be at least {low}, got {value!r}")
 
 
+def _require_growable(n, attach_count) -> None:
+    """Raise a ValueError naming the size key a network cannot be grown with."""
+    _require_integers(1, attach=attach_count)
+    _require_integers(attach_count + 1, n=n)
+    if int(n) * int(attach_count) >= 1 << 30:
+        # Keeps every bound below 2**31, on numpy's 32-bit bounded draw.
+        # Python ints: numpy integers would wrap.
+        raise ValueError(f"n must be at most {((1 << 30) - 1) // attach_count} "
+                         f"(n * attach < 2**30), got {n!r}")
+
+
 def _rejected(low: int, b: int) -> bool:
     """Whether numpy rejects word w in a draw below b < 2**32, ``low`` being
     the low half of ``w * b``.  By Lemire's method numpy takes the index
@@ -173,12 +184,7 @@ def generate_pa_network(n: int, attach_count: int, rng: np.random.Generator) -> 
     target still to draw, never more than are used: the network and the
     generator's state afterwards are those of one scalar call per target.
     """
-    _require_integers(1, attach=attach_count)
-    _require_integers(attach_count + 1, n=n)
-    if n * attach_count >= 1 << 30:
-        # Keeps every bound below 2**31, on numpy's 32-bit bounded draw.
-        raise ValueError(f"n must be at most {((1 << 30) - 1) // attach_count} "
-                         f"(n * attach < 2**30), got {n!r}")
+    _require_growable(n, attach_count)
 
     a = attach_count
     seed_size = a + 1

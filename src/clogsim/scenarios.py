@@ -20,7 +20,7 @@ import numpy as np
 
 from .decision import phi_to_tau
 from .dynamics import DEFAULT_ALPHA, DEFAULT_MAX_ITERS
-from .network import Network, _require_integers, bfs_distances
+from .network import Network, _require_growable, _require_integers, bfs_distances
 
 __all__ = [
     "KINDS",
@@ -61,9 +61,8 @@ class ScenarioConfig:
             raise ValueError(f"phi must exceed 45 in the unbiased scenario, got {self.phi_deg!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
-        _require_integers(1, attach=self.attach_count, degree=self.innovator_degree,
-                          max_iters=self.max_iters)
-        _require_integers(self.attach_count + 1, n=self.n)
+        _require_growable(self.n, self.attach_count)
+        _require_integers(1, degree=self.innovator_degree, max_iters=self.max_iters)
         if self.n % 2:
             raise ValueError(f"n must be even (biases are drawn as +/- pairs), got {self.n!r}")
 

@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clogsim import cli, io_config, montecarlo
-from clogsim.io_config import (
-    ConfigError,
-    format_field,
-    read_config_file,
-    write_csv,
-    write_sweep_outputs,
-)
+from clogsim.io_config import format_field, write_csv, write_sweep_outputs
 from clogsim.montecarlo import RUN_DTYPE, SweepSpec, aggregate_cells, execute_sweep, mix_seed
 from clogsim.scenarios import ScenarioConfig
 
@@ -163,15 +157,38 @@ class TestConfigFile:
         assert spec.phi_list == (85.0,)  # flag wins over file
         assert spec.runs_per_cell == 10
 
-    def test_malformed_line(self, tmp_path):
+    def test_malformed_line(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("scenario hubs\n")
-        with pytest.raises(ConfigError, match="key=value"):
-            read_config_file(str(cfg), cli.SWEEP_KEYS)
+        assert "key=value" in rejected(capsys, "sweep", "--config", str(cfg), "--seed", "1")
 
-    def test_missing_file(self):
-        with pytest.raises(ConfigError, match="no-such-file"):
-            read_config_file("no-such-file.cfg", cli.SWEEP_KEYS)
+    def test_missing_file(self, capsys):
+        assert "no-such-file" in rejected(capsys, "sweep", "--config", "no-such-file.cfg",
+                                          "--seed", "1")
+
+    def test_undecodable_file_names_the_file(self, capsys, tmp_path):
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"scenario=hubs\nseed=1\xff\n")
+        err = rejected(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert err.startswith(f"error: cannot read config file {cfg}: 'utf-8' codec ")
+        assert not (tmp_path / "cells.csv").exists()
+
+    def test_file_line_named_before_a_bad_flag(self, capsys, tmp_path):
+        # The file's flags come first, so its bad line is the error reported.
+        cfg = tmp_path / "b2.cfg"
+        cfg.write_text("scenario=hubs\nruns=ten\n")
+        err = rejected(capsys, "sweep", "--config", str(cfg), "--phi", "bad", "--seed", "1",
+                       "--out-dir", str(tmp_path))
+        assert err == f"error: {cfg}:2: argument --runs: invalid int value: 'ten'"
+        assert not (tmp_path / "cells.csv").exists()
+
+    def test_keys_are_the_sweep_flags(self):
+        # Every sweep flag but --config, --workers and --out-dir may be set by a file.
+        sub = next(a for a in cli.build_parser()._actions if a.choices and "sweep" in a.choices)
+        flags = {a.option_strings[-1][2:].replace("-", "_")
+                 for a in sub.choices["sweep"]._actions if a.dest != "help"}
+        assert len(set(cli.SWEEP_KEYS)) == len(cli.SWEEP_KEYS)
+        assert set(cli.SWEEP_KEYS) == flags - {"config", "workers", "out_dir"}
 
     # key: (the spec's value, file text, its value, flag text, its value)
     KEYS = {

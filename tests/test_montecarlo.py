@@ -127,8 +127,11 @@ class TestPrepareRun:
     def test_master_seed_outside_64_bits_rejected(self, master_seed):
         # The seed mix keeps 64 bits: -1 and 2**64 would replay master seeds
         # 2**64 - 1 and 0.
-        with pytest.raises(ValueError, match=r"^master_seed must lie in \[0, 2\*\*64\)"):
+        message = r"^master_seed must lie in \[0, 2\*\*64\)"
+        with pytest.raises(ValueError, match=message):
             prepare_run(_CONFIG, master_seed, 0)
+        with pytest.raises(ValueError, match=message):
+            mix_seed(master_seed, "random", 60.0, 2, 0)
 
 
 # Seeds are not counts, but a fraction must fail with the same message.
@@ -136,6 +139,8 @@ class TestPrepareRun:
     pytest.param(lambda: small_spec(seed=1.5), "seed", id="spec-seed"),
     pytest.param(lambda: prepare_run(_CONFIG, 1.5, 0), "master_seed",
                  id="prepare_run-master_seed"),
+    pytest.param(lambda: mix_seed(1.5, "random", 60.0, 2, 0), "master_seed",
+                 id="mix_seed-master_seed"),
 ])
 def test_non_integer_size_names_its_key(build, key):
     with pytest.raises(ValueError, match=rf"^{key} must be an integer, got 1\.5$"):

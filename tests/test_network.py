@@ -166,6 +166,8 @@ class TestGeneratePA:
             generate_pa_network(10, 0, rng)
         with pytest.raises(ValueError, match="2\\*\\*30"):
             generate_pa_network(2**29, 2, rng)
+        with pytest.raises(ValueError, match="2\\*\\*30"):
+            generate_pa_network(np.int64(2**62), np.int64(4), rng)  # wraps to 0 in int64
 
 
 def reference_pa_network(n, attach_count, rng):

@@ -54,6 +54,7 @@ class TestScenarioConfig:
         ({"n": 4, "attach_count": 4}, "n"),
         ({"innovator_degree": 0}, "degree"),
         ({"max_iters": 0}, "max_iters"),
+        ({"n": 2**29}, "n"),  # n * attach would reach 2**30, beyond growth's draws
     ])
     def test_bad_value_names_its_key(self, kwargs, key):
         with pytest.raises(ValueError, match=rf"^{key} must "):
