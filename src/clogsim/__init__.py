@@ -34,12 +34,7 @@ from .network import (
     from_edges,
     generate_pa_network,
 )
-from .scenarios import (
-    ScenarioConfig,
-    allocate_biases,
-    sample_neutral_biases,
-    scenario_biases,
-)
+from .scenarios import ScenarioConfig, scenario_biases
 
 __version__ = "0.1.0"
 
@@ -61,8 +56,6 @@ __all__ = [
     "simulate_run",
     "run_to_completion",
     "ScenarioConfig",
-    "sample_neutral_biases",
-    "allocate_biases",
     "scenario_biases",
     "SweepSpec",
     "mix_seed",

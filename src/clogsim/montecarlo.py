@@ -123,12 +123,20 @@ def mix_seed(master_seed: int, kind: str, phi_deg: float, degree: int, run_index
 
     Chains splitmix64 over the tuple fields (scenario index, the angle's
     float64 bit pattern, degree, run index), so any scheduling of runs
-    reproduces identical streams.  The master seed must lie in [0, 2**64):
-    a wider one would alias one inside.
+    reproduces identical streams.  The master seed, degree and run index
+    must be integers below 2**64 (degree at least 1): a wider one would
+    alias one inside.
     """
     _require_integers(master_seed=master_seed)
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed!r}")
+    if kind not in KINDS:
+        raise ValueError(f"scenario must be one of {KINDS}, got {kind!r}")
+    _require_integers(0, run_index=run_index)
+    _require_integers(1, degree=degree)
+    for key, value in (("run_index", run_index), ("degree", degree)):
+        if value >= 2**64:
+            raise ValueError(f"{key} must be below 2**64, got {value!r}")
     fields = (
         KINDS.index(kind),
         int(np.float64(phi_deg).view(np.uint64)),
@@ -137,7 +145,7 @@ def mix_seed(master_seed: int, kind: str, phi_deg: float, degree: int, run_index
     )
     h = int(master_seed)
     for v in fields:
-        h = _splitmix64(h ^ (v & _MASK64))
+        h = _splitmix64(h ^ v)
     return h
 
 
@@ -157,7 +165,6 @@ def prepare_run(
     on ``rng``.  net, innovator and beta are None when the regeneration
     limit is exhausted.
     """
-    _require_integers(0, run_index=run_index)
     _require_integers(1, regen_limit=regen_limit)
     degree = config.innovator_degree
     seed = mix_seed(master_seed, config.kind, config.phi_deg, degree, run_index)

@@ -24,15 +24,11 @@ from .network import Network, _require_growable, _require_integers, bfs_distance
 
 __all__ = [
     "KINDS",
-    "BIASED_KINDS",
     "ScenarioConfig",
-    "sample_neutral_biases",
-    "allocate_biases",
     "scenario_biases",
 ]
 
 KINDS = ("neutral", "unbiased", "hubs", "nearby", "random")
-BIASED_KINDS = ("hubs", "nearby", "random")
 
 
 @dataclass(frozen=True)
@@ -67,53 +63,11 @@ class ScenarioConfig:
             raise ValueError(f"n must be even (biases are drawn as +/- pairs), got {self.n!r}")
 
 
-def sample_neutral_biases(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n/2 magnitudes from U[0, 0.5], returned as +/- pairs (sum is 0)."""
-    if n % 2:
-        raise ValueError(f"n must be even (biases are drawn as +/- pairs), got {n!r}")
-    mag = rng.uniform(0.0, 0.5, n // 2)
-    return np.concatenate([mag, -mag])
-
-
 def _ranked_order(key: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     # Random permutation first, stable sort second: uniform shuffle within
     # every tie class, so node indexing leaves no artifacts.
     perm = rng.permutation(key.size)
     return perm[np.argsort(key[perm], kind="stable")]
-
-
-def allocate_biases(
-    values,
-    net: Network,
-    innovator: int,
-    kind: str,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Distribute a multiset of bias values over the nodes.
-
-    Values are sorted ascending (most innovation-favoring first) and
-    assigned along the scenario's ranking: by descending degree for hubs,
-    by ascending distance from the innovator for nearby, or to a uniform
-    random permutation.  The innovator itself is ranked like any node; in
-    the nearby scenario it sits alone at distance 0 and therefore receives
-    the most favorable value.
-    """
-    if kind not in BIASED_KINDS:
-        raise ValueError(f"allocation kind must be one of {BIASED_KINDS}, got {kind!r}")
-    vals = np.sort(np.asarray(values, dtype=np.float64))
-    if vals.shape != (net.n,):
-        raise ValueError(f"need exactly {net.n} bias values, got {vals.size}")
-
-    if kind == "random":
-        order = rng.permutation(net.n)
-    elif kind == "hubs":
-        order = _ranked_order(-net.degrees, rng)
-    else:
-        order = _ranked_order(bfs_distances(net, innovator), rng)
-
-    beta = np.empty(net.n, dtype=np.float64)
-    beta[order] = vals
-    return beta
 
 
 def scenario_biases(
@@ -122,10 +76,29 @@ def scenario_biases(
     innovator: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-node bias vector for one run of the given scenario kind."""
+    """Per-node bias vector for one run of the given scenario kind.
+
+    Zero for neutral and unbiased.  Otherwise n/2 magnitudes are drawn from
+    U[0, 0.5] as +/- pairs (n must be even), sorted ascending (most
+    innovation-favoring first) and assigned along the scenario's ranking:
+    by descending degree for hubs, by ascending distance from the innovator
+    for nearby, or to a uniform random permutation.  The innovator itself
+    is ranked like any node; in the nearby scenario it sits alone at
+    distance 0 and therefore receives the most favorable value.
+    """
     if kind not in KINDS:
         raise ValueError(f"scenario must be one of {KINDS}, got {kind!r}")
     if kind in ("neutral", "unbiased"):
         return np.zeros(net.n, dtype=np.float64)
-    values = sample_neutral_biases(net.n, rng)
-    return allocate_biases(values, net, innovator, kind, rng)
+    if net.n % 2:
+        raise ValueError(f"n must be even (biases are drawn as +/- pairs), got {net.n!r}")
+    mag = rng.uniform(0.0, 0.5, net.n // 2)
+    if kind == "random":
+        order = rng.permutation(net.n)
+    elif kind == "hubs":
+        order = _ranked_order(-net.degrees, rng)
+    else:
+        order = _ranked_order(bfs_distances(net, innovator), rng)
+    beta = np.empty(net.n, dtype=np.float64)
+    beta[order] = np.sort(np.concatenate([mag, -mag]))
+    return beta

@@ -13,7 +13,7 @@ PUBLIC = {
     "Network", "from_edges", "generate_pa_network", "bfs_distances",
     "find_node_with_degree",
     "RunOutcome", "simulate_run", "run_to_completion",
-    "ScenarioConfig", "sample_neutral_biases", "allocate_biases", "scenario_biases",
+    "ScenarioConfig", "scenario_biases",
     "SweepSpec", "mix_seed", "execute_run", "execute_sweep",
     "empirical_degree_pmf", "conditional_degree_distribution",
     "__version__",

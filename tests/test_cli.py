@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import io
@@ -7,6 +8,7 @@ import shlex
 
 import pytest
 
+import clogsim
 from clogsim import cli
 from clogsim.cli import main
 from clogsim.dynamics import simulate_run
@@ -126,6 +128,22 @@ class TestFn:
                 assert cli.build_parser().parse_args(argv).command == argv[0]
         assert {a[0] for a in commands} == {"fn", "net", "run", "sweep"}
 
+    def test_readme_python_examples(self, capsys):
+        # Every Python block compiles and imports only exported names; the
+        # single run executes (the sweep block's 1,200 runs do not).
+        blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+        assert len(blocks) == 2
+        for block in blocks:
+            tree = ast.parse(block)
+            compile(tree, str(README), "exec")
+            imported = {alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) and node.module == "clogsim"
+                        for alias in node.names}
+            assert imported and imported <= set(clogsim.__all__)
+        (single_run,) = [b for b in blocks if "simulate_run(" in b]
+        exec(single_run, {})
+        assert capsys.readouterr().out.startswith("dominance max_iterations 10000 ")
+
 
 class TestNet:
     def test_writes_edges_and_nodes(self, capsys, tmp_path):
@@ -225,6 +243,7 @@ class TestRun:
     @pytest.mark.parametrize("flag, value, key", [
         ("--regen-limit", "0", "regen_limit"),
         ("--run-index", "-1", "run_index"),
+        ("--run-index", "18446744073709551616", "run_index"),  # 2**64 would replay run 0
         ("--phi", "30", "phi"),
         ("--n", "2", "n"),
         ("--scenario", "neutral", "phi"),

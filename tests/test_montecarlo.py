@@ -67,6 +67,16 @@ class TestMixSeed:
                  for p in range(45, 91) for d in (2, 3) for i in range(3)}
         assert len(seeds) == 46 * 2 * 3
 
+    @pytest.mark.parametrize("kind, degree, run_index, message", [
+        ("mystery", 4, 7, r"^scenario must be one of \("),
+        ("nearby", 2**64, 7, r"^degree must be below 2\*\*64, got 18446744073709551616$"),
+        ("nearby", 4, 2**64, r"^run_index must be below 2\*\*64, got 18446744073709551616$"),
+    ])
+    def test_bad_field_names_its_key(self, kind, degree, run_index, message):
+        # The mix is 64 bits wide: a field of 2**64 would alias 0.
+        with pytest.raises(ValueError, match=message):
+            mix_seed(42, kind, 60.0, degree, run_index)
+
 
 class TestExecuteRun:
     def test_deterministic(self):
@@ -184,6 +194,10 @@ _NET = generate_pa_network(16, 2, np.random.default_rng(0))
                  id="prepare_run-run_index"),
     pytest.param(lambda v: prepare_run(_CONFIG, 1, 0, v), "regen_limit", 1, 5,
                  id="prepare_run-regen_limit"),
+    pytest.param(lambda v: mix_seed(1, "random", 60.0, 2, v), "run_index", 0, 0,
+                 id="mix_seed-run_index"),
+    pytest.param(lambda v: mix_seed(1, "random", 60.0, v, 0), "degree", 1, 2,
+                 id="mix_seed-degree"),
     pytest.param(worker_count, "workers", 1, 1, id="worker_count-workers"),
     pytest.param(lambda v: empirical_degree_pmf(16, 2, np.random.default_rng(0), networks=v),
                  "networks", 1, 2, id="degree_pmf-networks"),

@@ -1,18 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from clogsim.network import bfs_distances, from_edges, generate_pa_network
-from clogsim.scenarios import (
-    ScenarioConfig,
-    allocate_biases,
-    sample_neutral_biases,
-    scenario_biases,
-)
+from clogsim.scenarios import ScenarioConfig, scenario_biases
 
 
 def star_path():
     # degrees: 0 -> 3, 1 -> 2, 2 -> 2, 3 -> 1
     return from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+
+
+_NET256 = generate_pa_network(256, 2, np.random.default_rng(0))
 
 
 def paired_sum_is_zero(values):
@@ -61,49 +61,75 @@ class TestScenarioConfig:
             ScenarioConfig(kind="random", phi_deg=60.0, **kwargs)
 
 
+_FRESH_STATE = 61443347815480377486656218041937673925  # default_rng(13), no draw
+_DRAWN_STATE = 221003606788331460880505031773270553823  # 32 uniforms, 1 permutation
+
+
+@pytest.mark.parametrize("kind, digest, state", [
+    ("neutral", "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+     _FRESH_STATE),
+    ("unbiased", "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+     _FRESH_STATE),
+    ("hubs", "c730965943c188256a8d15b7a647d274b58b4364957cf6eb7563d445dac32640",
+     _DRAWN_STATE),
+    ("nearby", "04f4e06f7702c1e96e2c3ea5e715212a8ecb32a72cbf5bfa368c06af9c95a24c",
+     _DRAWN_STATE),
+    ("random", "3f8fefc472e19bd4b037a473d515c7d2af7480c620c23899565ebf20ac84ba21",
+     _DRAWN_STATE),
+])
+def test_bias_draws_pinned(kind, digest, state):
+    # The values and the generator state after the call: a reordered or
+    # extra draw changes one of them, and with it every seeded run.
+    net = generate_pa_network(64, 2, np.random.default_rng(12))
+    rng = np.random.default_rng(13)
+    beta = scenario_biases(kind, net, 9, rng)
+    assert hashlib.sha256(beta.tobytes()).hexdigest() == digest
+    assert rng.bit_generator.state["state"] == {
+        "state": state, "inc": 317612346296202158696945144441957901887}
+
+
 class TestSampleNeutralBiases:
     def test_pairing(self):
         rng = np.random.default_rng(0)
-        values = sample_neutral_biases(2, rng)
+        values = scenario_biases("random", from_edges(2, [(0, 1)]), 0, rng)
         assert len(values) == 2
         assert values[0] == -values[1] or values[0] == values[1] == 0.0
 
     def test_sum_zero_exactly(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            assert paired_sum_is_zero(sample_neutral_biases(256, rng))
+            assert paired_sum_is_zero(scenario_biases("random", _NET256, 0, rng))
 
     def test_range_and_mean_magnitude(self):
         rng = np.random.default_rng(2)
-        values = np.concatenate([sample_neutral_biases(256, rng) for _ in range(100)])
+        values = np.concatenate([scenario_biases("random", _NET256, 0, rng) for _ in range(100)])
         assert np.all(np.abs(values) <= 0.5)
         # |beta| ~ U[0, 0.5] so the mean magnitude is 0.25
         assert np.mean(np.abs(values)) == pytest.approx(0.25, abs=0.01)
 
     def test_odd_n_rejected(self):
         message = r"^n must be even \(biases are drawn as \+/- pairs\), got 3$"
-        with pytest.raises(ValueError, match=message):
-            sample_neutral_biases(3, np.random.default_rng(0))
+        net = from_edges(3, [(0, 1), (1, 2)])
+        for kind in ("hubs", "nearby", "random"):
+            with pytest.raises(ValueError, match=message):
+                scenario_biases(kind, net, 0, np.random.default_rng(0))
 
 
 class TestAllocateBiases:
     def test_hubs_extremes_forced(self):
         net = star_path()
-        values = np.array([-0.4, -0.1, 0.1, 0.4])
         for seed in range(10):
-            beta = allocate_biases(values, net, 0, "hubs", np.random.default_rng(seed))
-            assert beta[0] == -0.4  # unique max degree
-            assert beta[3] == 0.4   # unique min degree
-            assert {beta[1], beta[2]} == {-0.1, 0.1}
+            beta = scenario_biases("hubs", net, 0, np.random.default_rng(seed))
+            assert beta[0] == beta.min()  # unique max degree
+            assert beta[3] == beta.max()  # unique min degree
 
     def test_hubs_tie_class_shuffled(self):
         net = star_path()
-        values = np.array([-0.4, -0.1, 0.1, 0.4])
         seen = set()
         for seed in range(40):
-            beta = allocate_biases(values, net, 0, "hubs", np.random.default_rng(seed))
-            seen.add(beta[1])
-        assert seen == {-0.1, 0.1}  # both orders occur across seeds
+            beta = scenario_biases("hubs", net, 0, np.random.default_rng(seed))
+            seen.add(bool(beta[1] < beta[2]))
+        assert seen == {True, False}  # both orders occur across seeds
 
     def test_hubs_monotone_in_degree(self):
         rng = np.random.default_rng(3)
@@ -131,9 +157,8 @@ class TestAllocateBiases:
     def test_nearby_innovator_gets_most_favorable(self):
         rng = np.random.default_rng(5)
         net = generate_pa_network(64, 2, rng)
-        values = sample_neutral_biases(64, rng)
-        beta = allocate_biases(values, net, 9, "nearby", rng)
-        assert beta[9] == np.sort(values)[0]
+        beta = scenario_biases("nearby", net, 9, rng)
+        assert beta[9] == beta.min()
 
     def test_random_marginal_mean_zero(self):
         rng = np.random.default_rng(6)
@@ -170,17 +195,6 @@ class TestAllocateBiases:
         net = generate_pa_network(64, 2, rng)
         for kind in ("neutral", "unbiased"):
             assert np.all(scenario_biases(kind, net, 0, rng) == 0.0)
-
-    def test_size_mismatch(self):
-        net = star_path()
-        with pytest.raises(ValueError):
-            allocate_biases([0.1, -0.1], net, 0, "random", np.random.default_rng(0))
-
-    def test_bad_kind(self):
-        net = star_path()
-        values = [-0.1, -0.2, 0.2, 0.1]
-        with pytest.raises(ValueError):
-            allocate_biases(values, net, 0, "unbiased", np.random.default_rng(0))
 
     def test_scenario_biases_unknown_kind(self):
         with pytest.raises(ValueError, match="^scenario must be one of"):
