@@ -16,11 +16,12 @@ At phi = 90 the rule is a step at the threshold 0.5 + beta, so once every
 mental state and every neighbour input lies strictly on the side of its
 node's threshold that the node's signal is on, the signals are settled:
 each later cycle redraws them unchanged, and each state follows the fixed
-map x <- alpha * input + (1 - alpha) * x.  The run then iterates that map
-alone, with the same arithmetic, until a state leaves its side (and full
-cycles resume), consensus is reached, or the states stop changing (an
-absorbing state, reported as a run capped at the cycle limit).  Results,
-trace and generator state equal those of the full cycle loop.
+map x <- alpha * input + (1 - alpha) * x.  From the end of the block of
+cycles (below) in which they settle, the run iterates that map alone, with
+the same arithmetic, until a state leaves its side (and full cycles
+resume), consensus is reached, or the states stop changing (an absorbing
+state, reported as a run capped at the cycle limit).  Results, trace and
+generator state equal those of the full cycle loop.
 
 Cycles run in blocks of one size, one row of n per cycle: 8,192 values
 (32 cycles of 256 nodes), the last block of a run cut to its cycle cap.
@@ -32,8 +33,8 @@ rows finds the first stop: consensus, or in settled cycles a repeated row
 or a state off its side.  Rows after the stop are discarded.  PCG64 takes
 one output per double, so ``bit_generator.advance`` then puts the
 generator at its start plus n outputs per cycle run: back over the rows a
-stop or a settling left unused, forward over settled cycles, up to the
-cap for an absorbing state.
+stop discarded, forward over settled cycles, up to the cap for an
+absorbing state.
 """
 
 from __future__ import annotations
@@ -164,14 +165,14 @@ def simulate_run(
     (index = cycle, starting with the initial state at index 0).
 
     Each block of cycles runs in one of two modes.  Full cycles run the
-    rule and gather signals.  At ``phi_deg == 90``, once the
-    signals are settled (see the module docstring), the next blocks'
-    cycles advance the states by the update map alone, until a state
-    leaves its side and full cycles resume.  An absorbing state ends the
-    run as the cycle cap would: ``t_final == max_iters``, and the trace is
-    padded with the unchanging mean.  Outcome, final states, trace and
-    the state of ``rng``, a PCG64 generator as ``np.random.default_rng``
-    makes, equal those of the full cycle loop.
+    rule and gather signals.  At ``phi_deg == 90`` a full block ends by
+    checking whether its signals are settled (see the module docstring);
+    if so, the next blocks advance the states by the update map alone,
+    until a state leaves its side and full cycles resume.  An absorbing
+    state ends the run as the cycle cap would: ``t_final == max_iters``,
+    and the trace is padded with the unchanging mean.  Outcome, final
+    states, trace and the state of ``rng``, a PCG64 generator as
+    ``np.random.default_rng`` makes, equal those of the full cycle loop.
     """
     if net.n == 0 or int(net.degrees.min()) < 1:
         raise ValueError("simulation requires every node to have at least one neighbor")
@@ -208,13 +209,9 @@ def simulate_run(
         if held is None:
             x = rng.random((k, n))
             drawn = k
-            for used, u in enumerate(x, 1):
+            for u in x:
                 m, s, inp = _cycle(m, u, rule, owner, indices, inv_deg, alpha, c)
-                if thr is not None and _settled(m, s, inp, thr):
-                    held = alpha * inp
-                    break
-            x = x[:used]
-            same = off = np.zeros(used, dtype=bool)
+            same = off = np.zeros(k, dtype=bool)
         else:
             # Each row is alpha * inp + (1 - alpha) * x, a full cycle's
             # arithmetic; a row that repeats the one before it or leaves a
@@ -246,6 +243,8 @@ def simulate_run(
             terminated_by = MAX_ITERATIONS
         elif off[used - 1]:
             held = None
+        elif held is None and thr is not None and _settled(m, s, inp, thr):
+            held = alpha * inp
         bits.advance((used - drawn) * n)
         t += used
 

@@ -68,17 +68,17 @@ class SweepSpec:
                 raise ValueError(f"{name} list must not be empty")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} list repeats a value: {list(values)}")
+        for d in self.degree_list:
+            _require_integers(1, degrees=d)  # named as the sweep's flag
         for phi in map(float, self.phi_list):
-            # Re-runs the scenario's angle constraints for each grid value.
-            replace(self.scenario, phi_deg=phi)
+            for d in self.degree_list:  # each cell's config checks its angle and degree
+                replace(self.scenario, phi_deg=phi, innovator_degree=d)
             # A printed value must seed the run it names.  ``phi`` is a Python
             # float: numpy 2 would compare with an np.float32 in float32.
             text = format_field(phi)
             if float(text) != phi:
                 raise ValueError(f"phi {phi!r} prints as {text} in sweep outputs, which would "
                                  "replay a different seed; give at most 9 significant digits")
-        for d in self.degree_list:
-            _require_integers(1, degrees=d)
         _require_integers(1, runs=self.runs_per_cell, regen_limit=self.regen_limit)
         _require_integers(seed=self.master_seed)
         if not 0 <= self.master_seed < 2**64:

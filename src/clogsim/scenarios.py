@@ -59,6 +59,8 @@ class ScenarioConfig:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
         _require_growable(self.n, self.attach_count)
         _require_integers(1, degree=self.innovator_degree, max_iters=self.max_iters)
+        if self.innovator_degree >= 2**64:  # mix_seed's field width
+            raise ValueError(f"degree must be below 2**64, got {self.innovator_degree!r}")
         if self.n % 2:
             raise ValueError(f"n must be even (biases are drawn as +/- pairs), got {self.n!r}")
 

@@ -376,9 +376,9 @@ class TestAbsorbingExit:
         # partner that emits 1) and two leaves that emit 0, so its input
         # is v = 3 * (1/5).  Its threshold is 0.1 v + 0.9 v, which rounds
         # one ulp above v, and its start one ulp below v updates exactly
-        # to v.  The run settles after cycle 1; the first settled update
-        # lands the hub on its threshold, where its signal is a draw, so
-        # full cycles must resume.
+        # to v.  With blocks of one row the run settles after cycle 1; the
+        # first settled update lands the hub on its threshold, where its
+        # signal is a draw, so full cycles must resume.
         net = from_edges(9, [(0, 1), (0, 2), (0, 3), (0, 7), (0, 8), (1, 4), (2, 5), (3, 6)])
         v = 3 * (1.0 / 5)
         thr = DEFAULT_ALPHA * v + (1.0 - DEFAULT_ALPHA) * v
@@ -386,6 +386,7 @@ class TestAbsorbingExit:
         start = np.array([np.nextafter(v, 0.0), 1, 1, 1, 1, 1, 1, 0, 0], dtype=np.float64)
         beta = np.array([thr - 0.5, -0.4, -0.4, -0.4, 0, 0, 0, 0, 0], dtype=np.float64)
         monkeypatch.setattr(dynamics, "_initial_state", lambda n, innovator: start.copy())
+        monkeypatch.setattr(dynamics, "_MAX_DRAW", 9)
         checks = recorded_settled(monkeypatch)
         assert_same_run(net, 0, 90.0, beta, np.random.default_rng(0), 200, start=start)
         assert checks[0] and len(checks) > 1
@@ -397,19 +398,51 @@ class TestAbsorbingExit:
         assert_same_run(net, 0, 89.0, beta, rng, 300)
 
     @given(case=step_rule_starts(), seed=st.integers(0, 2**32 - 1),
-           max_iters=st.integers(50, 2000))
+           max_iters=st.integers(50, 2000), rows=st.integers(1, 8))
     @settings(max_examples=150, deadline=None)
-    def test_fast_forward_matches_reference_loop(self, case, seed, max_iters):
+    def test_fast_forward_matches_reference_loop(self, case, seed, max_iters, rows):
+        # Settled mode starts at the end of a full block, so the block size
+        # sets the cycle at which a run that settles enters it.
         net, start, beta = case
-        with mock.patch.object(dynamics, "_initial_state", lambda n, innovator: start.copy()):
+        with mock.patch.object(dynamics, "_initial_state", lambda n, innovator: start.copy()), \
+                mock.patch.object(dynamics, "_MAX_DRAW", rows * net.n):
             assert_same_run(net, 0, 90.0, beta, np.random.default_rng(seed), max_iters,
                             start=start)
 
+    @pytest.mark.parametrize("rows", [1, 3, 8, None])
+    def test_full_block_checks_settled_at_most_once(self, monkeypatch, rows):
+        # A full block draws its uniforms first and checks its signals at
+        # most once, after its last row, so every _settled call directly
+        # follows a draw.  ``rows`` None keeps the default 32 rows of 256.
+        config = ScenarioConfig(kind="nearby", phi_deg=90.0, innovator_degree=8)
+        _, rng, net, innovator, _, beta = prepare_run(config, 20260810, 0)
+        if rows is not None:
+            monkeypatch.setattr(dynamics, "_MAX_DRAW", rows * net.n)
+        events = []
+        settled = dynamics._settled
+
+        def recording_settled(*args):
+            events.append("check")
+            return settled(*args)
+
+        class DrawRecorder:
+            bit_generator = rng.bit_generator
+
+            def random(self, size):
+                events.append("draw")
+                return rng.random(size)
+
+        monkeypatch.setattr(dynamics, "_settled", recording_settled)
+        simulate_run(net, innovator, 90.0, beta, DrawRecorder(), max_iters=1500)
+        assert events.count("check") > 1
+        assert all(a == "draw" for a, b in zip(["start"] + events, events) if b == "check")
+
 
 # With dynamics._MAX_DRAW at 8 rows of n, full cycles from the start take
-# blocks ending after cycles 8, 16, 24, ..., 120.  A run that settles after
-# cycle 1 takes its settled cycles from blocks ending after cycles 9, 17,
-# 25, ..., 121.
+# blocks ending after cycles 8, 16, 24, ..., 120.  At phi = 90 the signals
+# are checked at the end of a full block, so a run settled from the start
+# enters settled mode after cycle 8 and takes its settled cycles from
+# blocks ending after cycles 16, 24, ..., 120 as well.
 STOPS_AROUND_BLOCK_ENDS = [1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 119, 120, 121]
 
 
@@ -428,11 +461,15 @@ class TestBlockDraws:
                                   1000, start=start)
         assert (outcome.t_final, outcome.terminated_by) == (stop, CONSENSUS_ZERO)
 
-    @pytest.mark.parametrize("stop", [s + 1 for s in STOPS_AROUND_BLOCK_ENDS])
+    @pytest.mark.parametrize("stop", [2, 8, 9, 10, 16, 17, 18, 24, 25, 26, 120, 121, 122])
     def test_settled_consensus_inside_and_at_block_ends(self, monkeypatch, stop):
         # The states of the test above at phi = 90 with beta = 0.5: every
-        # threshold is 1, so every signal is 0 and the run settles after
-        # cycle 1.  Settled cycles then reach consensus at cycle ``stop``.
+        # threshold is 1, so every signal is 0 and the signals are settled
+        # from cycle 1.  Stops 2 and 8 come inside and at the end of the
+        # first full block, before the one check of its signals; from
+        # cycle 9 on settled cycles reach consensus at the first row (9,
+        # 17, 25, 121), the last row (16, 24, 120) or inside (10, 18, 26,
+        # 122) of a settled block.
         net = generate_pa_network(16, 2, np.random.default_rng(stop))
         start = np.full(16, CONSENSUS_EPS / 0.9 ** (stop - 0.5))
         monkeypatch.setattr(dynamics, "_initial_state", lambda n, innovator: start.copy())
@@ -441,7 +478,7 @@ class TestBlockDraws:
         outcome = assert_same_run(net, 0, 90.0, 0.5, np.random.default_rng(stop),
                                   1000, start=start)
         assert (outcome.t_final, outcome.terminated_by) == (stop, CONSENSUS_ZERO)
-        assert checks == [True]
+        assert checks == ([True] if stop > 8 else [])
 
     @pytest.mark.parametrize("stop", STOPS_AROUND_BLOCK_ENDS)
     def test_consensus_one_inside_and_at_block_ends(self, monkeypatch, stop):
@@ -476,7 +513,9 @@ class TestBlockDraws:
         # state 0.5 * 0.9**(t - 1) exceeds its threshold 0.5 * 0.9**(settle
         # - 1.5); b's threshold is 1, so b emits 0 and hears a's 1 exactly
         # on its threshold.  Nothing is settled until a emits 0, from cycle
-        # ``settle`` on; settled cycles then decay both to consensus.
+        # ``settle`` on, and the check at the end of the block that holds
+        # cycle ``settle`` is the first to find it; settled cycles then
+        # decay both to consensus.
         net = pair()
         beta = np.array([0.5 * 0.9 ** (settle - 1.5) - 0.5, 0.5])
         start = np.array([0.5, 0.0])
@@ -485,7 +524,7 @@ class TestBlockDraws:
         checks = recorded_settled(monkeypatch)
         outcome = assert_same_run(net, 0, 90.0, beta, np.random.default_rng(settle),
                                   1000, start=start)
-        assert checks.index(True) + 1 == settle
+        assert checks == [False] * ((settle - 1) // 8) + [True]
         assert outcome.terminated_by == CONSENSUS_ZERO
 
 

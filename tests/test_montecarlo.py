@@ -345,6 +345,12 @@ class TestExecuteSweep:
         with pytest.raises(ValueError, match=rf"^{key} must be at least 1"):
             small_spec(**kwargs)
 
+    def test_degree_outside_64_bits_rejected(self):
+        # Refused at construction, as mix_seed would refuse it in the first run.
+        message = r"^degree must be below 2\*\*64, got 18446744073709551616$"
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(ScenarioConfig("random", 60.0), (60.0,), (2, 2**64), 1, 1)
+
     def test_seed_outside_64_bits_rejected(self):
         # mix_seed keeps the low 64 bits, so 2**64 would alias seed 0.
         for seed in (-1, 2**64):

@@ -55,6 +55,7 @@ class TestScenarioConfig:
         ({"innovator_degree": 0}, "degree"),
         ({"max_iters": 0}, "max_iters"),
         ({"n": 2**29}, "n"),  # n * attach would reach 2**30, beyond growth's draws
+        ({"innovator_degree": 2**64}, "degree"),  # beyond mix_seed's 64-bit fields
     ])
     def test_bad_value_names_its_key(self, kwargs, key):
         with pytest.raises(ValueError, match=rf"^{key} must "):
